@@ -12,8 +12,12 @@ Conventions (documented because the literature varies):
   (2x mean, capped at 1) is available via ``convention="adaptive"``.
 * Weighted F uses a 7x7 Gaussian dependency kernel (sigma 5) whose border
   truncation is renormalized, so an all-miss prediction scores exactly 0.
+  Its nearest-foreground search compares each background pixel with the
+  foreground boundary only, so it costs O(#bg * #boundary) per image.
 * Ground-truth maps with no foreground are skipped (and counted) by the
   F-family metrics; MAE, Sm and Em include them.
+* ``evaluate_pairs`` evaluates each image once and aggregates the
+  per-image rows, with the same values as the separate public functions.
 
 All functions take lists of float maps in [0, 1] and binary masks.
 """
@@ -237,7 +241,18 @@ def _nearest_fg(fg: np.ndarray):
     (row, col) foreground pixel, keeping the result convention-stable.
     """
     H, W = fg.shape
-    fr, fc = np.nonzero(fg)
+    # Only boundary pixels (foreground with an in-image 4-neighbour in the
+    # background) can be nearest.  For an interior foreground pixel p and a
+    # background pixel q, the 4-neighbour of p one step toward q lies inside
+    # the image (q does), is foreground (p is interior) and is strictly
+    # closer to q.  So p is never a minimiser nor part of a tie, and the
+    # distances and the row-major tie-break equal a scan of all foreground.
+    interior = fg.copy()
+    interior[1:, :] &= fg[:-1, :]
+    interior[:-1, :] &= fg[1:, :]
+    interior[:, 1:] &= fg[:, :-1]
+    interior[:, :-1] &= fg[:, 1:]
+    fr, fc = np.nonzero(fg & ~interior)
     br, bc = np.nonzero(~fg)
     dist = np.zeros((H, W))
     near_r = np.zeros((H, W), dtype=np.intp)
@@ -425,12 +440,16 @@ def e_measure(preds, gts) -> float:
 
 
 def evaluate_pairs(preds, gts, ids=None, per_image_pr: bool = False) -> MetricReport:
-    """Full metric bundle over paired prediction / ground-truth lists."""
+    """Full metric bundle over paired prediction / ground-truth lists.
+
+    Each image is evaluated once; the dataset-level wF, MAE, Sm and Em are
+    the ordered means of the per-image rows, which is exactly what
+    ``weighted_f``, ``mae``, ``s_measure`` and ``e_measure`` return.
+    """
     _validate_pairs(preds, gts)
     ids = ids or [str(i) for i in range(len(preds))]
     precision, recall = pr_curve(preds, gts, per_image=per_image_pr)
     curve_f = f_beta(precision, recall)
-    skipped = sum(1 for g in gts if not (np.asarray(g) == 1).any())
     per_image_rows = []
     for name, pred, gt in zip(ids, preds, gts):
         pred = np.asarray(pred, dtype=np.float64)
@@ -444,13 +463,17 @@ def evaluate_pairs(preds, gts, ids=None, per_image_pr: bool = False) -> MetricRe
         if (gt == 1).any():
             row["wf"] = _weighted_f_single(pred, gt, 5.0, 7, 1.0)
         per_image_rows.append(row)
+    wf_scores = [row["wf"] for row in per_image_rows if "wf" in row]
+    skipped = len(per_image_rows) - len(wf_scores)
+    if skipped:
+        logger.info("weighted F skipped %d empty-GT images", skipped)
     return MetricReport(
         max_f=float(np.max(curve_f)),
         mean_f=float(np.mean(curve_f)),
-        weighted_f=weighted_f(preds, gts),
-        mae=mae(preds, gts),
-        s_measure=s_measure(preds, gts),
-        e_measure=e_measure(preds, gts),
+        weighted_f=_ordered_mean(wf_scores),
+        mae=_ordered_mean([row["mae"] for row in per_image_rows]),
+        s_measure=_ordered_mean([row["sm"] for row in per_image_rows]),
+        e_measure=_ordered_mean([row["em"] for row in per_image_rows]),
         pr=np.stack([precision, recall], axis=1),
         per_image=per_image_rows,
         skipped_empty_gt=skipped,

@@ -124,12 +124,16 @@ def sgd_step(
     cfg: TrainConfig,
     multiplier: float = 1.0,
 ) -> None:
-    """One momentum-SGD update over all parameters, in name order."""
-    for name in params:
-        p = params[name]
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        if not np.all(np.isfinite(g)):
+    """One momentum-SGD update over all parameters, in name order.
+
+    Every gradient is checked before any parameter or velocity changes, so
+    a ``DivergenceError`` leaves the model exactly as it was.
+    """
+    for name, p in params.items():
+        if p.grad is not None and not np.all(np.isfinite(p.grad)):
             raise DivergenceError(f"non-finite gradient in {name!r}")
+    for name, p in params.items():
+        g = p.grad if p.grad is not None else np.zeros_like(p.data)
         v = velocities[name]
         v[...] = cfg.momentum * v + g + cfg.weight_decay * p.data
         p.data = p.data - (_base_lr(name, cfg) * multiplier) * v
@@ -295,7 +299,9 @@ def train(
 
     With ``out_dir`` set, writes ``checkpoint.ckpt`` (at intervals and at
     the end) and ``loss_log.tsv``.  ``resume`` continues bit-identically
-    from a previous checkpoint given the same seed stream.
+    from a previous checkpoint given the same seed stream; the rows of an
+    existing ``loss_log.tsv`` for steps before the resume point are kept,
+    while ``log_rows`` holds only the steps this call ran.
     """
     if not samples:
         raise ValueError("dataset is empty")
@@ -326,8 +332,16 @@ def train(
     columns = ["step", "lr", "L_total", "L_S", "L_E"]
     if cfg.mode == "rgbd":
         columns.append("L_D")
+    header = "\t".join(columns)
     log_rows: list[dict] = []
-    log_lines = ["\t".join(columns)]
+    log_lines = [header]
+    if log_path and log_path.exists():
+        # A resumed run keeps the logged steps before its resume point.
+        old_lines = log_path.read_text().splitlines()
+        if old_lines[:1] == [header]:
+            log_lines += [
+                line for line in old_lines[1:] if int(line.split("\t")[0]) < start_step
+            ]
     last_saved: Path | None = Path(resume) if resume is not None else None
     t0 = time.time()
 

@@ -177,6 +177,29 @@ def f_beta_scalar(p, r, beta_sq=0.3):
 # -- weighted F-measure, dense transcription ----------------------------------------
 
 
+def nearest_fg_bruteforce(fg):
+    """Nearest foreground pixel by scanning every foreground pixel.
+
+    Returns (dist, near_r, near_c) with the conventions of
+    ``metrics._nearest_fg``: exact integer squared distances, ties to the
+    row-major-first foreground pixel, foreground pixels pointing at
+    themselves.
+    """
+    H, W = fg.shape
+    fr, fc = np.nonzero(fg)
+    br, bc = np.nonzero(~fg)
+    dist = np.zeros((H, W))
+    near_r = np.zeros((H, W), dtype=np.intp)
+    near_c = np.zeros((H, W), dtype=np.intp)
+    near_r[fg], near_c[fg] = fr, fc
+    d2 = (br[:, None] - fr[None, :]) ** 2 + (bc[:, None] - fc[None, :]) ** 2
+    idx = np.argmin(d2, axis=1)  # first minimum = row-major-first winner
+    dist[br, bc] = np.sqrt(d2[np.arange(len(br)), idx].astype(np.float64))
+    near_r[br, bc] = fr[idx]
+    near_c[br, bc] = fc[idx]
+    return dist, near_r, near_c
+
+
 def weighted_f_bruteforce(pred, gt, sigma=5.0, ksize=7, beta_sq=1.0):
     H, W = gt.shape
     fg = [(i, j) for i in range(H) for j in range(W) if gt[i, j] == 1]

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from cracenet.data import save_gray
 from cracenet.metrics import (
     DatasetMismatchError,
+    _nearest_fg,
     e_measure,
     evaluate_dataset,
     evaluate_pairs,
@@ -19,6 +20,7 @@ from cracenet.metrics import (
 from oracles import (
     e_measure_bruteforce,
     f_beta_scalar,
+    nearest_fg_bruteforce,
     pr_bruteforce,
     s_measure_bruteforce,
     weighted_f_bruteforce,
@@ -26,11 +28,14 @@ from oracles import (
 
 
 def toy_pair(seed=0, side=3):
+    """Quantized prediction and binary ground truth; ``side`` is an int for
+    a square map or an (H, W) pair."""
+    shape = (side, side) if isinstance(side, int) else tuple(side)
     rng = np.random.default_rng(seed)
-    pred = np.round(rng.uniform(size=(side, side)) * 255) / 255.0
-    gt = (rng.uniform(size=(side, side)) > 0.5).astype(np.float64)
+    pred = np.round(rng.uniform(size=shape) * 255) / 255.0
+    gt = (rng.uniform(size=shape) > 0.5).astype(np.float64)
     if not gt.any():
-        gt[side // 2, side // 2] = 1.0
+        gt[shape[0] // 2, shape[1] // 2] = 1.0
     return pred, gt
 
 
@@ -120,6 +125,52 @@ class TestMae:
         assert mae([np.full((4, 4), 0.25)], [np.zeros((4, 4))]) == 0.25
 
 
+@st.composite
+def fg_masks(draw):
+    """Non-empty foreground masks up to 24x24 in the shapes that stress the
+    nearest-foreground search: noise, mirror-symmetric shapes (ties), discs
+    cut by the image border, a single pixel and all-but-one pixel."""
+    H = draw(st.integers(1, 24))
+    W = draw(st.integers(1, 24))
+    kind = draw(st.sampled_from(["noise", "symmetric", "disc", "single", "all_but_one"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind in ("single", "all_but_one"):
+        mask = np.zeros((H, W), dtype=bool)
+        mask[draw(st.integers(0, H - 1)), draw(st.integers(0, W - 1))] = True
+        if kind == "all_but_one":
+            mask = ~mask
+    elif kind == "disc":
+        cy = draw(st.integers(-2, H + 1))
+        cx = draw(st.integers(-2, W + 1))
+        r2 = draw(st.integers(0, 100))
+        rows, cols = np.mgrid[:H, :W]
+        mask = (rows - cy) ** 2 + (cols - cx) ** 2 <= r2
+    else:
+        mask = rng.uniform(size=(H, W)) < draw(st.floats(0.02, 0.98))
+        if kind == "symmetric":
+            mask = mask | mask[::-1] | mask[:, ::-1] | mask[::-1, ::-1]
+    if not mask.any():
+        mask[draw(st.integers(0, H - 1)), draw(st.integers(0, W - 1))] = True
+    return mask
+
+
+class TestNearestForeground:
+    @settings(max_examples=300, deadline=None)
+    @given(fg_masks())
+    def test_boundary_search_equals_full_scan(self, fg):
+        dist, near_r, near_c = _nearest_fg(fg)
+        ref_dist, ref_r, ref_c = nearest_fg_bruteforce(fg)
+        assert np.array_equal(dist, ref_dist)
+        assert np.array_equal(near_r, ref_r)
+        assert np.array_equal(near_c, ref_c)
+
+    def test_tie_resolves_row_major_first(self):
+        fg = np.zeros((3, 3), dtype=bool)
+        fg[0, 1] = fg[1, 0] = fg[1, 2] = fg[2, 1] = True
+        _, near_r, near_c = _nearest_fg(fg)
+        assert (near_r[1, 1], near_c[1, 1]) == (0, 1)
+
+
 class TestWeightedF:
     def test_identical_binary_is_exactly_one(self):
         _, gt = toy_pair(13, 7)
@@ -132,6 +183,13 @@ class TestWeightedF:
     def test_matches_dense_oracle_5x5(self):
         for seed in range(6):
             pred, gt = toy_pair(seed + 20, 5)
+            assert weighted_f([pred], [gt]) == pytest.approx(
+                weighted_f_bruteforce(pred, gt), abs=1e-9
+            )
+
+    def test_matches_dense_oracle_non_square(self):
+        for seed, shape in enumerate([(9, 13), (13, 9), (4, 17)]):
+            pred, gt = toy_pair(seed + 26, shape)
             assert weighted_f([pred], [gt]) == pytest.approx(
                 weighted_f_bruteforce(pred, gt), abs=1e-9
             )
@@ -200,6 +258,28 @@ class TestInvariances:
         assert abs(max_f(pr_curve([pred], [gt])) - max_f(pr_curve([quant], [gt]))) <= 0.02
         assert abs(mean_f([pred], [gt]) - mean_f([quant], [gt])) <= 0.02
         assert mae([quant], [gt]) == mae([quant.copy()], [gt])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.integers(0, 2**16 - 1), min_size=1, max_size=5),
+        st.lists(st.booleans(), min_size=5, max_size=5),
+        st.integers(1, 12),
+        st.integers(1, 12),
+    )
+    def test_aggregates_equal_separate_metrics(self, seeds, empty, H, W):
+        # images after the first lose their foreground where ``empty`` says
+        pairs = [toy_pair(s, (H, W)) for s in seeds]
+        preds = [p for p, _ in pairs]
+        gts = [
+            np.zeros_like(g) if i and e else g
+            for i, ((_, g), e) in enumerate(zip(pairs, empty))
+        ]
+        report = evaluate_pairs(preds, gts)
+        assert report.weighted_f == weighted_f(preds, gts)
+        assert report.mae == mae(preds, gts)
+        assert report.s_measure == s_measure(preds, gts)
+        assert report.e_measure == e_measure(preds, gts)
+        assert report.skipped_empty_gt == sum(not g.any() for g in gts)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**16 - 1))

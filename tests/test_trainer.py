@@ -93,6 +93,23 @@ class TestSgdStep:
         with pytest.raises(DivergenceError):
             sgd_step({"x": p}, {"x": np.zeros(1)}, cfg)
 
+    def test_divergence_leaves_every_parameter_untouched(self):
+        cfg = TrainConfig(momentum=0.9, weight_decay=0.01, input_size=32)
+        rng = np.random.default_rng(0)
+        names = ["crace2.w", "head.b", "rgb_encoder.w"]
+        params = {n: Tensor(rng.normal(size=3), requires_grad=True) for n in names}
+        vel = {n: rng.normal(size=3) for n in names}
+        for p in params.values():
+            p.grad = rng.normal(size=3)
+        params[names[-1]].grad[1] = np.inf
+        data_before = {n: p.data.copy() for n, p in params.items()}
+        vel_before = {n: v.copy() for n, v in vel.items()}
+        with pytest.raises(DivergenceError, match="rgb_encoder.w"):
+            sgd_step(params, vel, cfg)
+        for n in names:
+            assert np.array_equal(params[n].data, data_before[n]), n
+            assert np.array_equal(vel[n], vel_before[n]), n
+
 
 class TestSchedule:
     def test_linear_warmup_then_decay(self):
@@ -193,6 +210,22 @@ class TestTrainLoop:
         assert set(full_arrays) == set(res_arrays)
         for k in full_arrays:
             assert np.array_equal(full_arrays[k], res_arrays[k]), k
+
+    def test_resume_keeps_earlier_loss_log_rows(self, dataset, tmp_path):
+        cfg = tiny_train_cfg(total_steps=4, checkpoint_interval=2)
+        run = tmp_path / "run"
+        train(dataset, cfg, tiny_net_cfg(), out_dir=run)
+        log = run / "loss_log.tsv"
+        uninterrupted = log.read_text()
+        result = train(dataset, cfg, tiny_net_cfg(), out_dir=run,
+                       resume=run / "checkpoint_step000002.ckpt")
+        assert [row["step"] for row in result.log_rows] == [2, 3]
+        assert log.read_text() == uninterrupted
+        # a log that stops before the resume point is completed, not replaced
+        log.write_text("".join(uninterrupted.splitlines(keepends=True)[:3]))
+        train(dataset, cfg, tiny_net_cfg(), out_dir=run,
+              resume=run / "checkpoint_step000002.ckpt")
+        assert log.read_text() == uninterrupted
 
     def test_params_stay_finite(self, dataset):
         result = train(dataset, tiny_train_cfg(), tiny_net_cfg())
