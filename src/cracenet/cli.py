@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -56,54 +56,44 @@ def _parse_int_tuple(v: str) -> tuple[int, ...]:
     return tuple(int(part.strip()) for part in v.split(",") if part.strip())
 
 
-def _field_keys(cls) -> dict[str, type]:
-    return {f.name: f.type for f in fields(cls)}
-
-_TRAIN_KEYS = set(_field_keys(TrainConfig))
-_LOSS_KEYS = set(_field_keys(LossConfig))
-_CRACE_KEYS = set(_field_keys(CraceConfig))
-_ENCODER_KEYS = set(_field_keys(EncoderConfig))
-_TUPLE_KEYS = {"sampling_rates", "dilation_rates", "widths"}
-_STR_KEYS = {"mode", "upsample_mode"}
-_FLOAT_KEYS = {"momentum", "weight_decay", "lr_backbone", "lr_head"}
-_BOOL_PREFIXES = ("enable_", "use_", "hflip", "random_crop", "multiscale", "depth_input")
+_CONFIG_CLASSES = (TrainConfig, LossConfig, CraceConfig, EncoderConfig)
+_FIELD_TYPES = {cls: get_type_hints(cls) for cls in _CONFIG_CLASSES}
 
 
-def _convert(key: str, value: str):
-    if key in _TUPLE_KEYS:
-        return _parse_int_tuple(value)
-    if key in _STR_KEYS:
-        return value
-    if key in _FLOAT_KEYS:
-        return float(value)
-    if key.startswith(_BOOL_PREFIXES):
-        return _parse_bool(value)
-    return int(value)
+def _parse_value(key: str, text: str, kind):
+    """One config value parsed by its dataclass field type."""
+    if type(None) in get_args(kind):  # X | None: parse as X
+        (kind,) = (arg for arg in get_args(kind) if arg is not type(None))
+    if kind is bool:
+        return _parse_bool(text)
+    if get_origin(kind) is tuple and set(get_args(kind)) <= {int, Ellipsis}:
+        return _parse_int_tuple(text)
+    if kind in (int, float, str):
+        return kind(text)
+    raise ConfigFileError(f"config key {key!r} cannot be set from a config file")
 
 
 def build_configs(raw: dict[str, str]):
     """Raw key/value pairs -> (TrainConfig, NetworkConfig, LossConfig).
 
-    Unknown keys are errors, not warnings.  ``branches`` is API-only.
+    String values are parsed by the type of the dataclass field they name;
+    other values pass through.  Unknown keys are errors, not warnings.
+    ``branches`` is API-only.
     """
-    train_kw, loss_kw, crace_kw, enc_kw = {}, {}, {}, {}
+    kwargs = {cls: {} for cls in _CONFIG_CLASSES}
     for key, value in raw.items():
-        if key in _TRAIN_KEYS:
-            train_kw[key] = value if not isinstance(value, str) else _convert(key, value)
-        elif key in _LOSS_KEYS:
-            loss_kw[key] = value if not isinstance(value, str) else _convert(key, value)
-        elif key in _CRACE_KEYS and key != "branches":
-            crace_kw[key] = value if not isinstance(value, str) else _convert(key, value)
-        elif key in _ENCODER_KEYS:
-            enc_kw[key] = value if not isinstance(value, str) else _convert(key, value)
-        else:
+        cls = next((c for c in _CONFIG_CLASSES if key in _FIELD_TYPES[c]), None)
+        if cls is None:
             raise ConfigFileError(f"unknown config key {key!r}")
-    train_cfg = TrainConfig(**train_kw)
-    crace_kw.setdefault("depth_input", train_cfg.mode == "rgbd")
+        if isinstance(value, str):
+            value = _parse_value(key, value, _FIELD_TYPES[cls][key])
+        kwargs[cls][key] = value
+    train_cfg = TrainConfig(**kwargs[TrainConfig])
+    kwargs[CraceConfig].setdefault("depth_input", train_cfg.mode == "rgbd")
     net_cfg = NetworkConfig(
-        EncoderConfig(**enc_kw), CraceConfig(**crace_kw), train_cfg.mode
+        EncoderConfig(**kwargs[EncoderConfig]), CraceConfig(**kwargs[CraceConfig]), train_cfg.mode
     )
-    return train_cfg, net_cfg, LossConfig(**loss_kw)
+    return train_cfg, net_cfg, LossConfig(**kwargs[LossConfig])
 
 
 # -- subcommands ------------------------------------------------------------------
@@ -193,11 +183,11 @@ def _cmd_predict(args) -> int:
                 path.stem,
             )
         )
-    predict_to_dir(model, samples, out_dir, dump_levels=args.dump_levels)
-    # Final maps go back to each image's native resolution.
-    for stem, hw in originals.items():
-        full = resize_bilinear_np(load_gray(out_dir / f"{stem}.pgm"), hw)
-        save_gray(out_dir / f"{stem}.pgm", full)
+    finals = predict_to_dir(model, samples, out_dir, dump_levels=args.dump_levels)
+    # Final maps go back to each image's native resolution, resized before
+    # they are quantized.
+    for s, final in zip(samples, finals):
+        save_gray(out_dir / f"{s.id}.pgm", resize_bilinear_np(final, originals[s.id]))
     print(f"wrote {len(samples)} saliency maps to {out_dir}")
     return 0
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import Conv2dLayer, ConvBnRelu, downsample_avg, upsample
+from .layers import Conv2dLayer, ConvBnRelu, Module, downsample_avg, upsample
 from .tensor import (
     Tensor,
     ShapeError,
@@ -62,6 +62,8 @@ class CraceConfig:
     def __post_init__(self):
         self.sampling_rates = tuple(int(r) for r in self.sampling_rates)
         self.dilation_rates = tuple(int(d) for d in self.dilation_rates)
+        if self.branches is not None:
+            self.branches = tuple((int(r), int(d)) for r, d in self.branches)
         if self.n < 1:
             raise ConfigError("channel width n must be >= 1")
         if any(r < 1 for r in self.sampling_rates):
@@ -76,7 +78,7 @@ class CraceConfig:
         the first dilation: coarser scales get the larger receptive fields.
         """
         if self.branches is not None:
-            return tuple((int(r), int(d)) for r, d in self.branches)
+            return self.branches
         rates, dils = self.sampling_rates, self.dilation_rates
         if len(dils) == len(rates):
             return tuple(zip(rates, dils))
@@ -88,7 +90,7 @@ class CraceConfig:
         )
 
 
-class CraceModule:
+class CraceModule(Module):
     """Parameters and forward logic for one fusion stage.
 
     ``in_local`` / ``in_global`` (/ ``in_depth``) are the channel counts of
@@ -140,6 +142,9 @@ class CraceModule:
         else:
             self.att_global = None
             self.fuse_reduce = None
+
+    def _list_items(self, attr: str, items: list):
+        return ((f"branch{i}", conv) for i, conv in enumerate(items))
 
     # -- projections ----------------------------------------------------
 
@@ -286,30 +291,3 @@ class CraceModule:
         if return_parts:
             return x, parts
         return x
-
-    def parameters(self, prefix: str = ""):
-        yield from self.proj_local.parameters(prefix + "proj_local.")
-        yield from self.proj_global.parameters(prefix + "proj_global.")
-        if self.proj_depth is not None:
-            yield from self.proj_depth.parameters(prefix + "proj_depth.")
-        if self.att_cross is not None:
-            yield from self.att_cross.parameters(prefix + "att_cross.")
-        yield from self.channel_reduce.parameters(prefix + "channel_reduce.")
-        for i, conv in enumerate(self.branch_convs):
-            yield from conv.parameters(prefix + f"branch{i}.")
-        if self.att_global is not None:
-            yield from self.att_global.parameters(prefix + "att_global.")
-        if self.fuse_reduce is not None:
-            yield from self.fuse_reduce.parameters(prefix + "fuse_reduce.")
-
-    def state(self, prefix: str = ""):
-        yield from self.proj_local.state(prefix + "proj_local.")
-        yield from self.proj_global.state(prefix + "proj_global.")
-        if self.proj_depth is not None:
-            yield from self.proj_depth.state(prefix + "proj_depth.")
-
-    def load_state(self, prefix: str, arrays: dict) -> None:
-        self.proj_local.load_state(prefix + "proj_local.", arrays)
-        self.proj_global.load_state(prefix + "proj_global.", arrays)
-        if self.proj_depth is not None:
-            self.proj_depth.load_state(prefix + "proj_depth.", arrays)

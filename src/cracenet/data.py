@@ -13,6 +13,7 @@ trailer verified on load.
 from __future__ import annotations
 
 import json
+import os
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -328,7 +329,16 @@ def save_checkpoint(path, config: dict, arrays: dict[str, np.ndarray]) -> None:
         chunks.append(arr.astype("<f8").tobytes())
     payload = b"".join(chunks)
     crc = zlib.crc32(payload)
-    Path(path).write_bytes(CHECKPOINT_MAGIC + payload + _pack_u32(crc))
+    # Write beside the target, then rename: a crash mid-write leaves any
+    # existing checkpoint at ``path`` whole.
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_bytes(CHECKPOINT_MAGIC + payload + _pack_u32(crc))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:

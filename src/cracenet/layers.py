@@ -17,6 +17,7 @@ __all__ = [
     "Conv2dLayer",
     "ConvBnRelu",
     "DegenerateStatisticsError",
+    "Module",
     "conv2d",
     "downsample_avg",
     "erode",
@@ -35,7 +36,79 @@ def _kaiming_std(fan_in: int) -> float:
     return float(np.sqrt(2.0 / fan_in))
 
 
-class Conv2dLayer:
+class Module:
+    """Base of every layer and block: derives parameters, buffers and
+    checkpoint names from the instance's attributes.
+
+    Attributes are walked in assignment order.  A ``Tensor`` that requires
+    gradients is a parameter, an ``np.ndarray`` is a buffer (the batch-norm
+    running statistics), and a ``Module`` is a child whose members are named
+    ``attribute.member``.  Anything else, such as a config or ``None``, is
+    skipped.  A class that keeps modules in a list names them in
+    :meth:`_list_items`.
+    """
+
+    def _list_items(self, attr: str, items: list):
+        """(name, module) for each module in list attribute ``attr``."""
+        raise TypeError(f"{type(self).__name__}.{attr}: no names for list items")
+
+    def _members(self, prefix: str = ""):
+        """(name, owner, attribute, value) of every parameter and buffer."""
+        for attr, value in vars(self).items():
+            if isinstance(value, Module):
+                yield from value._members(f"{prefix}{attr}.")
+            elif isinstance(value, list):
+                for name, item in self._list_items(attr, value):
+                    yield from item._members(f"{prefix}{name}.")
+            elif isinstance(value, np.ndarray) or (
+                isinstance(value, Tensor) and value.requires_grad
+            ):
+                yield prefix + attr, self, attr, value
+
+    def parameters(self, prefix: str = ""):
+        """(name, tensor) of every trainable parameter, in walk order."""
+        return ((n, v) for n, _, _, v in self._members(prefix) if isinstance(v, Tensor))
+
+    def buffers(self, prefix: str = ""):
+        """(name, array) of every non-trainable state array, in walk order."""
+        return ((n, v) for n, _, _, v in self._members(prefix) if isinstance(v, np.ndarray))
+
+    def param_dict(self) -> dict[str, Tensor]:
+        return dict(self.parameters())
+
+    def param_count(self) -> int:
+        return sum(t.size for _, t in self.parameters())
+
+    def export_arrays(self) -> dict[str, np.ndarray]:
+        """Copies of every parameter, then every buffer, by checkpoint name."""
+        arrays = {name: t.data.copy() for name, t in self.parameters()}
+        arrays.update({name: arr.copy() for name, arr in self.buffers()})
+        return arrays
+
+    def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+        """Set every parameter and buffer from ``arrays``, all or nothing.
+
+        Every name and shape is checked before anything is assigned, so a
+        ``KeyError`` or ``ShapeError`` leaves the module unchanged.
+        """
+        members = list(self._members())
+        for name, _, _, value in members:
+            if name not in arrays:
+                raise KeyError(f"checkpoint missing {name!r}")
+            if arrays[name].shape != value.shape:
+                raise ShapeError(
+                    f"{name!r}: checkpoint shape {arrays[name].shape} "
+                    f"!= model shape {value.shape}"
+                )
+        for name, owner, attr, value in members:
+            loaded = np.array(arrays[name], dtype=np.float64, order="C")
+            if isinstance(value, Tensor):
+                value.data = loaded
+            else:
+                setattr(owner, attr, loaded)
+
+
+class Conv2dLayer(Module):
     """2-D convolution with odd kernel, same padding, stride and dilation."""
 
     def __init__(
@@ -68,11 +141,6 @@ class Conv2dLayer:
 
     def forward(self, x: Tensor) -> Tensor:
         return conv2d(x, self)
-
-    def parameters(self, prefix: str = ""):
-        yield prefix + "weight", self.weight
-        if self.bias is not None:
-            yield prefix + "bias", self.bias
 
 
 def _im2col(xp: np.ndarray, kernel: int, stride: int, dilation: int):
@@ -152,7 +220,7 @@ def _conv1x1(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
     return make_node(np.ascontiguousarray(out), parents, bwd)
 
 
-class BatchNormLayer:
+class BatchNormLayer(Module):
     """Per-channel batch normalization over (B, H, W).
 
     Train mode normalizes with batch statistics (biased variance) and
@@ -193,20 +261,8 @@ class BatchNormLayer:
             xhat = (x - rm) * rstd
         return xhat * gamma + beta
 
-    def parameters(self, prefix: str = ""):
-        yield prefix + "gamma", self.gamma
-        yield prefix + "beta", self.beta
 
-    def state(self, prefix: str = ""):
-        yield prefix + "running_mean", self.running_mean
-        yield prefix + "running_var", self.running_var
-
-    def load_state(self, prefix: str, arrays: dict) -> None:
-        self.running_mean = arrays[prefix + "running_mean"].copy()
-        self.running_var = arrays[prefix + "running_var"].copy()
-
-
-class ConvBnRelu:
+class ConvBnRelu(Module):
     """conv -> batch norm -> ReLU, the basic projection block."""
 
     def __init__(
@@ -225,16 +281,6 @@ class ConvBnRelu:
 
     def forward(self, x: Tensor, training: bool) -> Tensor:
         return relu(self.bn.forward(self.conv.forward(x), training))
-
-    def parameters(self, prefix: str = ""):
-        yield from self.conv.parameters(prefix + "conv.")
-        yield from self.bn.parameters(prefix + "bn.")
-
-    def state(self, prefix: str = ""):
-        yield from self.bn.state(prefix + "bn.")
-
-    def load_state(self, prefix: str, arrays: dict) -> None:
-        self.bn.load_state(prefix + "bn.", arrays)
 
 
 # -- resampling ----------------------------------------------------------

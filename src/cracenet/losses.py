@@ -54,14 +54,12 @@ class SupervisionBundle:
 
     saliency: np.ndarray
     edge: np.ndarray
-    level_weights: tuple[float, ...] | None = None
 
     @staticmethod
-    def from_mask(mask: np.ndarray, radius: int = 1, level_weights=None):
+    def from_mask(mask: np.ndarray, radius: int = 1):
         return SupervisionBundle(
             saliency=np.asarray(mask, dtype=np.float64),
             edge=make_edge_gt(mask, radius),
-            level_weights=level_weights,
         )
 
 

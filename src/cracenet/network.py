@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crace import CraceConfig, CraceModule
-from .layers import BatchNormLayer, Conv2dLayer, ConvBnRelu, relu, upsample
+from .layers import BatchNormLayer, Conv2dLayer, ConvBnRelu, Module, relu, upsample
 from .tensor import Tensor, ShapeError, sigmoid
 
 __all__ = ["EncoderConfig", "NetworkConfig", "SodNetwork", "InputSizeError", "ModeError"]
@@ -63,7 +63,7 @@ class NetworkConfig:
         return NetworkConfig(EncoderConfig(), crace, mode)
 
 
-class ResidualBlock:
+class ResidualBlock(Module):
     """conv-bn-relu-conv-bn plus (projected) skip, ReLU on the sum."""
 
     def __init__(self, in_ch: int, out_ch: int, stride: int, rng):
@@ -85,29 +85,8 @@ class ResidualBlock:
             x = self.skip_bn.forward(self.skip.forward(x), training)
         return relu(y + x)
 
-    def parameters(self, prefix: str = ""):
-        yield from self.conv1.parameters(prefix + "conv1.")
-        yield from self.bn1.parameters(prefix + "bn1.")
-        yield from self.conv2.parameters(prefix + "conv2.")
-        yield from self.bn2.parameters(prefix + "bn2.")
-        if self.skip is not None:
-            yield from self.skip.parameters(prefix + "skip.")
-            yield from self.skip_bn.parameters(prefix + "skip_bn.")
 
-    def state(self, prefix: str = ""):
-        yield from self.bn1.state(prefix + "bn1.")
-        yield from self.bn2.state(prefix + "bn2.")
-        if self.skip_bn is not None:
-            yield from self.skip_bn.state(prefix + "skip_bn.")
-
-    def load_state(self, prefix: str, arrays: dict) -> None:
-        self.bn1.load_state(prefix + "bn1.", arrays)
-        self.bn2.load_state(prefix + "bn2.", arrays)
-        if self.skip_bn is not None:
-            self.skip_bn.load_state(prefix + "skip_bn.", arrays)
-
-
-class Encoder:
+class Encoder(Module):
     """Four residual stages at strides 4/8/16/32 relative to the input."""
 
     def __init__(self, in_channels: int, config: EncoderConfig, rng):
@@ -140,26 +119,13 @@ class Encoder:
             features.append(y)
         return features
 
-    def parameters(self, prefix: str = ""):
-        yield from self.stem.parameters(prefix + "stem.")
-        for s, blocks in enumerate(self.stages):
+    def _list_items(self, attr: str, items: list):
+        for s, blocks in enumerate(items):
             for b, block in enumerate(blocks):
-                yield from block.parameters(prefix + f"stage{s + 2}.block{b}.")
-
-    def state(self, prefix: str = ""):
-        yield from self.stem.state(prefix + "stem.")
-        for s, blocks in enumerate(self.stages):
-            for b, block in enumerate(blocks):
-                yield from block.state(prefix + f"stage{s + 2}.block{b}.")
-
-    def load_state(self, prefix: str, arrays: dict) -> None:
-        self.stem.load_state(prefix + "stem.", arrays)
-        for s, blocks in enumerate(self.stages):
-            for b, block in enumerate(blocks):
-                block.load_state(prefix + f"stage{s + 2}.block{b}.", arrays)
+                yield f"stage{s + 2}.block{b}", block
 
 
-class SodNetwork:
+class SodNetwork(Module):
     """The unified RGB / RGB-D saliency detector."""
 
     def __init__(self, config: NetworkConfig, seed: int = 0):
@@ -281,58 +247,6 @@ class SodNetwork:
         out = self.forward(img, dep, training=False)
         return sigmoid(out["saliency_logits"][0]).data[0, 0]
 
-    # -- parameter plumbing -------------------------------------------------------
-
-    def parameters(self):
-        yield from self.rgb_encoder.parameters("rgb_encoder.")
-        if self.depth_encoder is not None:
-            yield from self.depth_encoder.parameters("depth_encoder.")
-        yield from self.top_proj.parameters("top_proj.")
-        yield from self.crace4.parameters("crace4.")
-        yield from self.crace3.parameters("crace3.")
-        yield from self.crace2.parameters("crace2.")
-        for i, head in enumerate(self.saliency_heads):
-            yield from head.parameters(f"saliency_head{i + 2}.")
-        for i, head in enumerate(self.edge_heads):
-            yield from head.parameters(f"edge_head{i + 2}.")
-        if self.depth_heads is not None:
-            for i, head in enumerate(self.depth_heads):
-                yield from head.parameters(f"depth_head{i + 2}.")
-
-    def state(self):
-        yield from self.rgb_encoder.state("rgb_encoder.")
-        if self.depth_encoder is not None:
-            yield from self.depth_encoder.state("depth_encoder.")
-        yield from self.top_proj.state("top_proj.")
-        yield from self.crace4.state("crace4.")
-        yield from self.crace3.state("crace3.")
-        yield from self.crace2.state("crace2.")
-
-    def param_dict(self) -> dict[str, Tensor]:
-        return dict(self.parameters())
-
-    def param_count(self) -> int:
-        return sum(t.size for _, t in self.parameters())
-
-    def export_arrays(self) -> dict[str, np.ndarray]:
-        arrays = {name: t.data.copy() for name, t in self.parameters()}
-        arrays.update({name: arr.copy() for name, arr in self.state()})
-        return arrays
-
-    def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        for name, t in self.parameters():
-            if name not in arrays:
-                raise KeyError(f"checkpoint missing parameter {name!r}")
-            if arrays[name].shape != t.data.shape:
-                raise ShapeError(
-                    f"parameter {name!r}: checkpoint shape {arrays[name].shape} "
-                    f"!= model shape {t.data.shape}"
-                )
-            t.data = np.ascontiguousarray(arrays[name], dtype=np.float64)
-        self.rgb_encoder.load_state("rgb_encoder.", arrays)
-        if self.depth_encoder is not None:
-            self.depth_encoder.load_state("depth_encoder.", arrays)
-        self.top_proj.load_state("top_proj.", arrays)
-        self.crace4.load_state("crace4.", arrays)
-        self.crace3.load_state("crace3.", arrays)
-        self.crace2.load_state("crace2.", arrays)
+    def _list_items(self, attr: str, items: list):
+        head = attr[:-1]  # saliency_heads -> saliency_head2..saliency_head5
+        return ((f"{head}{i + 2}", h) for i, h in enumerate(items))

@@ -29,6 +29,8 @@ from .losses import (
     multilevel_edge_loss,
     multilevel_saliency_loss,
     saliency_term,
+    total_loss_rgb,
+    total_loss_rgbd,
 )
 from .metrics import MetricReport, evaluate_pairs
 from .network import EncoderConfig, NetworkConfig, SodNetwork
@@ -37,6 +39,7 @@ from .tensor import Tensor, backward, sigmoid, zero_grads
 __all__ = [
     "ABLATION_SCHEDULE",
     "DivergenceError",
+    "ResumeMismatchError",
     "TrainConfig",
     "TrainResult",
     "augment",
@@ -62,6 +65,10 @@ class DivergenceError(RuntimeError):
     def __init__(self, message: str, last_checkpoint: Path | None = None):
         super().__init__(message)
         self.last_checkpoint = last_checkpoint
+
+
+class ResumeMismatchError(ValueError):
+    """The configs given to a resumed run differ from the checkpoint's."""
 
 
 @dataclass
@@ -202,28 +209,31 @@ def augment(
 # -- loss assembly ----------------------------------------------------------------
 
 
+def _saliency_loss(maps: list, gt4: np.ndarray, loss_cfg: LossConfig):
+    """The S or D term: every level, or the final level only."""
+    if loss_cfg.use_multilevel:
+        return multilevel_saliency_loss(
+            maps, gt4, use_bce=loss_cfg.use_bce, use_iou=loss_cfg.use_iou
+        )
+    return saliency_term(maps[0], gt4, loss_cfg.use_bce, loss_cfg.use_iou)
+
+
 def _assemble_losses(outputs: dict, gt: np.ndarray, edge: np.ndarray, loss_cfg: LossConfig, mode: str):
-    sal = [sigmoid(t) for t in outputs["saliency_logits"]]
-    edges = [sigmoid(t) for t in outputs["edge_logits"]]
     gt4 = gt[:, None]
     edge4 = edge[:, None]
+    l_s = _saliency_loss([sigmoid(t) for t in outputs["saliency_logits"]], gt4, loss_cfg)
+    edges = [sigmoid(t) for t in outputs["edge_logits"]]
     if loss_cfg.use_multilevel:
-        l_s = multilevel_saliency_loss(sal, gt4, use_bce=loss_cfg.use_bce, use_iou=loss_cfg.use_iou)
         l_e = multilevel_edge_loss(edges, edge4)
     else:
-        l_s = saliency_term(sal[0], gt4, loss_cfg.use_bce, loss_cfg.use_iou)
         l_e = bce_loss(edges[0], edge4)
     parts = {"L_S": l_s.item(), "L_E": l_e.item()}
     if mode == "rgbd":
-        dep = [sigmoid(t) for t in outputs["depth_logits"]]
-        if loss_cfg.use_multilevel:
-            l_d = multilevel_saliency_loss(dep, gt4, use_bce=loss_cfg.use_bce, use_iou=loss_cfg.use_iou)
-        else:
-            l_d = saliency_term(dep[0], gt4, loss_cfg.use_bce, loss_cfg.use_iou)
+        l_d = _saliency_loss([sigmoid(t) for t in outputs["depth_logits"]], gt4, loss_cfg)
         parts["L_D"] = l_d.item()
-        total = (l_s + l_d + l_e) / 3.0 if loss_cfg.use_edge else (l_s + l_d) / 2.0
+        total = total_loss_rgbd(l_s, l_d, l_e) if loss_cfg.use_edge else (l_s + l_d) / 2.0
     else:
-        total = (l_s + l_e) / 2.0 if loss_cfg.use_edge else l_s
+        total = total_loss_rgb(l_s, l_e) if loss_cfg.use_edge else l_s
     return total, parts
 
 
@@ -233,34 +243,44 @@ def _assemble_losses(outputs: dict, gt: np.ndarray, edge: np.ndarray, loss_cfg: 
 def config_snapshot(
     step: int, cfg: TrainConfig, net_cfg: NetworkConfig, loss_cfg: LossConfig
 ) -> dict:
-    crace = asdict(net_cfg.crace)
-    if crace.get("branches") is not None:
-        crace["branches"] = [list(b) for b in crace["branches"]]
     return {
         "step": step,
         "train": asdict(cfg),
         "loss": asdict(loss_cfg),
-        "network": {
-            "mode": net_cfg.mode,
-            "encoder": asdict(net_cfg.encoder),
-            "crace": crace,
-        },
+        "network": asdict(net_cfg),
     }
 
 
 def configs_from_snapshot(snapshot: dict):
-    train_cfg = TrainConfig(**snapshot["train"])
-    loss_cfg = LossConfig(**snapshot["loss"])
     net = snapshot["network"]
-    crace = dict(net["crace"])
-    if crace.get("branches") is not None:
-        crace["branches"] = tuple(tuple(b) for b in crace["branches"])
-    crace["sampling_rates"] = tuple(crace["sampling_rates"])
-    crace["dilation_rates"] = tuple(crace["dilation_rates"])
-    enc = dict(net["encoder"])
-    enc["widths"] = tuple(enc["widths"])
-    net_cfg = NetworkConfig(EncoderConfig(**enc), CraceConfig(**crace), net["mode"])
-    return train_cfg, net_cfg, loss_cfg
+    return (
+        TrainConfig(**snapshot["train"]),
+        NetworkConfig(EncoderConfig(**net["encoder"]), CraceConfig(**net["crace"]), net["mode"]),
+        LossConfig(**snapshot["loss"]),
+    )
+
+
+def _flat_fields(tree: dict, prefix: str = ""):
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from _flat_fields(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key, value
+
+
+def _check_resume_configs(snapshot: dict, cfg, net_cfg, loss_cfg) -> None:
+    """Raise ``ResumeMismatchError`` naming every field whose value differs."""
+    saved = dict(_flat_fields(config_snapshot(0, *configs_from_snapshot(snapshot))))
+    given = _flat_fields(config_snapshot(0, cfg, net_cfg, loss_cfg))
+    differ = [
+        f"{name} (checkpoint {saved[name]!r}, given {value!r})"
+        for name, value in given
+        if saved[name] != value
+    ]
+    if differ:
+        raise ResumeMismatchError(
+            "resume config differs from the checkpoint's: " + "; ".join(differ)
+        )
 
 
 def build_model_from_checkpoint(path) -> tuple[SodNetwork, TrainConfig, NetworkConfig, LossConfig]:
@@ -298,10 +318,11 @@ def train(
     """Run the full schedule; returns the model, loss log, and checkpoint.
 
     With ``out_dir`` set, writes ``checkpoint.ckpt`` (at intervals and at
-    the end) and ``loss_log.tsv``.  ``resume`` continues bit-identically
-    from a previous checkpoint given the same seed stream; the rows of an
-    existing ``loss_log.tsv`` for steps before the resume point are kept,
-    while ``log_rows`` holds only the steps this call ran.
+    the end) and ``loss_log.tsv``, one row as each step finishes.
+    ``resume`` continues bit-identically from a previous checkpoint given
+    the same configs; ``ResumeMismatchError`` names any field that differs.
+    The rows of an existing ``loss_log.tsv`` for steps before the resume
+    point are kept, while ``log_rows`` holds only the steps this call ran.
     """
     if not samples:
         raise ValueError("dataset is empty")
@@ -318,6 +339,7 @@ def train(
     start_step = 0
     if resume is not None:
         snapshot, arrays = load_checkpoint(resume)
+        _check_resume_configs(snapshot, cfg, net_cfg, loss_cfg)
         model.load_arrays(arrays)
         for name in velocities:
             velocities[name] = arrays["optim/" + name].copy()
@@ -334,14 +356,17 @@ def train(
         columns.append("L_D")
     header = "\t".join(columns)
     log_rows: list[dict] = []
-    log_lines = [header]
-    if log_path and log_path.exists():
-        # A resumed run keeps the logged steps before its resume point.
-        old_lines = log_path.read_text().splitlines()
-        if old_lines[:1] == [header]:
-            log_lines += [
-                line for line in old_lines[1:] if int(line.split("\t")[0]) < start_step
-            ]
+    if log_path:
+        log_lines = [header]
+        if log_path.exists():
+            # A resumed run keeps the logged steps before its resume point.
+            old_lines = log_path.read_text().splitlines()
+            if old_lines[:1] == [header]:
+                log_lines += [
+                    line for line in old_lines[1:] if int(line.split("\t")[0]) < start_step
+                ]
+        # Rows are appended as steps finish, so a crashed run keeps its log.
+        log_path.write_text("".join(line + "\n" for line in log_lines))
     last_saved: Path | None = Path(resume) if resume is not None else None
     t0 = time.time()
 
@@ -385,7 +410,9 @@ def train(
 
         row = {"step": step, "lr": cfg.lr_head * mult, "L_total": total.item(), **parts}
         log_rows.append(row)
-        log_lines.append("\t".join(_fmt_cell(row.get(c)) for c in columns))
+        if log_path:
+            with log_path.open("a") as log:
+                log.write("\t".join(_fmt_cell(row.get(c)) for c in columns) + "\n")
         if verbose and (step % 50 == 0 or step == cfg.total_steps - 1):
             print(
                 f"step {step:5d}  lr {row['lr']:.5f}  loss {row['L_total']:.4f}  "
@@ -403,8 +430,6 @@ def train(
         _save_training_checkpoint(
             ckpt_path, cfg.total_steps, model, velocities, cfg, net_cfg, loss_cfg
         )
-    if log_path:
-        log_path.write_text("\n".join(log_lines) + "\n")
     return TrainResult(model, log_rows, ckpt_path, log_path)
 
 
@@ -430,15 +455,22 @@ def evaluate_model(model: SodNetwork, samples: list[Sample]) -> MetricReport:
     return evaluate_pairs(preds, gts, [s.id for s in samples])
 
 
-def predict_to_dir(model: SodNetwork, samples: list[Sample], out_dir, dump_levels=False):
-    """Write final saliency maps (and per-level maps on request) as PGM."""
+def predict_to_dir(
+    model: SodNetwork, samples: list[Sample], out_dir, dump_levels=False
+) -> list[np.ndarray]:
+    """Write final saliency maps (and per-level maps on request) as PGM.
+
+    Returns the final probability maps before quantization.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    finals = []
     for s in samples:
         img = Tensor(s.image[None])
         dep = Tensor(s.depth[None, None]) if model.mode == "rgbd" else None
         out = model.forward(img, dep, training=False)
         final = sigmoid(out["saliency_logits"][0]).data[0, 0]
+        finals.append(final)
         save_gray(out_dir / f"{s.id}.pgm", final)
         if dump_levels:
             for level, (sal, edg) in enumerate(
@@ -446,6 +478,7 @@ def predict_to_dir(model: SodNetwork, samples: list[Sample], out_dir, dump_level
             ):
                 save_gray(out_dir / f"{s.id}_P{level}.pgm", sigmoid(sal).data[0, 0])
                 save_gray(out_dir / f"{s.id}_E{level}.pgm", sigmoid(edg).data[0, 0])
+    return finals
 
 
 # -- ablation harness -----------------------------------------------------------------

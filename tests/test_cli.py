@@ -2,7 +2,19 @@ import numpy as np
 import pytest
 
 from cracenet.cli import build_configs, main
-from cracenet.data import ConfigFileError, load_gray
+from cracenet.crace import CraceConfig
+from cracenet.data import (
+    ConfigFileError,
+    gen_synthetic,
+    load_gray,
+    load_rgb,
+    save_checkpoint,
+    save_gray,
+)
+from cracenet.layers import resize_bilinear_np
+from cracenet.losses import LossConfig
+from cracenet.network import EncoderConfig, NetworkConfig, SodNetwork
+from cracenet.trainer import TrainConfig, build_model_from_checkpoint, config_snapshot
 
 
 TINY_CONFIG = """
@@ -133,6 +145,29 @@ class TestPredictEval:
                          "--out", str(out)]) == 0
         for pa in sorted(a.glob("*.pgm")):
             assert pa.read_bytes() == (b / pa.name).read_bytes()
+
+    def test_predict_resizes_float_map_before_quantizing(self, tmp_path):
+        # An untrained model gives graded maps; the trained tiny one saturates.
+        net_cfg = NetworkConfig(
+            EncoderConfig(widths=(4, 8, 12, 16)),
+            CraceConfig(n=8, sampling_rates=(1, 2), dilation_rates=(1, 2)),
+            "rgb",
+        )
+        snapshot = config_snapshot(0, TrainConfig(input_size=32), net_cfg, LossConfig())
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, snapshot, SodNetwork(net_cfg, seed=0).export_arrays())
+        # 48x48 images served at input_size 32: one quantization, at 48x48
+        gen_synthetic(tmp_path / "big", n=2, size=48, seed=5)
+        assert main(["predict", "--checkpoint", str(ckpt),
+                     "--images", str(tmp_path / "big/images"), "--out", str(tmp_path / "pred")]) == 0
+        model, *_ = build_model_from_checkpoint(ckpt)
+        for image_path in sorted((tmp_path / "big/images").glob("*.ppm")):
+            image = load_rgb(image_path)
+            final = model.infer(resize_bilinear_np(image, (32, 32)))
+            want = tmp_path / "want.pgm"
+            save_gray(want, resize_bilinear_np(final, image.shape[1:]))
+            got = tmp_path / "pred" / f"{image_path.stem}.pgm"
+            assert got.read_bytes() == want.read_bytes(), image_path.stem
 
     def test_missing_path_is_runtime_error(self, tmp_path):
         assert main(["eval", "--pred", str(tmp_path / "nope"), "--gt", str(tmp_path / "nope")]) == 1

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -141,6 +143,24 @@ class TestCheckpoint:
         path.write_bytes(b"NOTDATA!" + bytes(32))
         with pytest.raises(CorruptCheckpointError):
             load_checkpoint(path)
+
+
+    def test_failed_write_keeps_the_old_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, {"step": 1}, {"x": np.arange(4.0)})
+        before = path.read_bytes()
+        write_bytes = Path.write_bytes
+
+        def crash_halfway(self, data):
+            write_bytes(self, data[: len(data) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_bytes", crash_halfway)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, {"step": 2}, {"x": np.arange(8.0)})
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
 
 class TestConfigText:

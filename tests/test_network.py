@@ -1,3 +1,7 @@
+import hashlib
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,7 +13,7 @@ from cracenet.network import (
     NetworkConfig,
     SodNetwork,
 )
-from cracenet.tensor import Tensor, backward, zero_grads
+from cracenet.tensor import ShapeError, Tensor, backward, zero_grads
 
 
 def small_net(mode="rgb", depth_input=None, seed=0):
@@ -152,3 +156,54 @@ class TestTraining:
             net.forward(img)["saliency_logits"][0].data,
             other.forward(img)["saliency_logits"][0].data,
         )
+
+
+ALL_STAGES_OFF = dict(
+    enable_cross_attention=False,
+    enable_channel_attention=False,
+    enable_multiscale=False,
+    enable_attentive_fusion=False,
+)
+
+# Checkpoint names are on-disk format: (array count, parameter count,
+# SHA-256 of the "name shape" lines of export_arrays() in order).
+EXPORT_PINS = {
+    ("rgb", True): (164, 124, "5cd2d2fe3b3df10ad3af9c42e216ade5a1dcf2a58b315d6018f5399088aa0326"),
+    ("rgb", False): (122, 82, "d6649734542bca36c290194c592ab56fde766eed583defabf9fc2cdb10bf9140"),
+    ("rgbd", True): (252, 180, "7b3757821ee06554e4dd8eb84855b066da1ee070b5565d85e1a896d0c59d7d17"),
+    ("rgbd", False): (210, 138, "d622faff93a53548e30924c7afac22e7e6c38e6aa42500464baa91dcd1bfd025"),
+}
+
+
+class TestCheckpointNames:
+    @pytest.mark.parametrize("mode,stages", sorted(EXPORT_PINS))
+    def test_export_names_shapes_and_order_pinned(self, mode, stages):
+        cfg = NetworkConfig.default(mode)
+        if not stages:
+            cfg = NetworkConfig(cfg.encoder, replace(cfg.crace, **ALL_STAGES_OFF), mode)
+        net = SodNetwork(cfg)
+        arrays = net.export_arrays()
+        joined = "\n".join(f"{name} {tuple(a.shape)}" for name, a in arrays.items())
+        digest = hashlib.sha256(joined.encode()).hexdigest()
+        assert (len(arrays), len(list(net.parameters())), digest) == EXPORT_PINS[mode, stages]
+
+    def test_load_arrays_is_all_or_nothing(self):
+        net = small_net("rgbd", seed=6)
+        before = net.export_arrays()
+        bad = small_net("rgbd", seed=7).export_arrays()
+        last = list(bad)[-1]
+        bad[last] = np.zeros(bad[last].shape + (1,))
+        with pytest.raises(ShapeError, match=re.escape(last)):
+            net.load_arrays(bad)
+        after = net.export_arrays()
+        assert list(after) == list(before)
+        for name in before:
+            assert after[name].tobytes() == before[name].tobytes(), name
+
+    def test_load_arrays_names_a_missing_buffer(self):
+        net = small_net(seed=6)
+        arrays = net.export_arrays()
+        name = next(n for n in arrays if n.endswith("running_var"))
+        del arrays[name]
+        with pytest.raises(KeyError, match=re.escape(name)):
+            net.load_arrays(arrays)

@@ -3,11 +3,13 @@ import pytest
 
 from cracenet.crace import CraceConfig
 from cracenet.data import gen_synthetic, load_checkpoint, load_dataset
+from cracenet.losses import LossConfig
 from cracenet.network import EncoderConfig, NetworkConfig
 from cracenet.tensor import Tensor
 from cracenet.trainer import (
     ABLATION_SCHEDULE,
     DivergenceError,
+    ResumeMismatchError,
     TrainConfig,
     augment,
     build_model_from_checkpoint,
@@ -248,6 +250,27 @@ class TestTrainLoop:
                 train(dataset, cfg, tiny_net_cfg(), out_dir=tmp_path / "run")
         assert err.value.last_checkpoint is not None
         assert err.value.last_checkpoint.exists()
+        # the log holds one row for every step finished before the abort
+        done = load_checkpoint(err.value.last_checkpoint)[0]["step"]
+        rows = (tmp_path / "run/loss_log.tsv").read_text().splitlines()[1:]
+        assert [int(row.split("\t")[0]) for row in rows] == list(range(done))
+
+    def test_resume_refuses_a_changed_config(self, dataset, tmp_path):
+        cfg = tiny_train_cfg(total_steps=4, checkpoint_interval=2)
+        train(dataset, cfg, tiny_net_cfg(), out_dir=tmp_path / "run")
+        ckpt = tmp_path / "run/checkpoint_step000002.ckpt"
+        with pytest.raises(ResumeMismatchError, match=r"train\.lr_head") as err:
+            train(dataset, tiny_train_cfg(total_steps=4, checkpoint_interval=2, lr_head=0.1),
+                  tiny_net_cfg(), out_dir=tmp_path / "changed", resume=ckpt)
+        assert "seed" not in str(err.value)
+        assert not (tmp_path / "changed").exists()
+        with pytest.raises(ResumeMismatchError, match=r"train\.seed.*loss\.use_iou"):
+            train(dataset, tiny_train_cfg(total_steps=4, checkpoint_interval=2, seed=2),
+                  tiny_net_cfg(), LossConfig(use_iou=False), resume=ckpt)
+        net_cfg = tiny_net_cfg()
+        net_cfg.crace.n = 4
+        with pytest.raises(ResumeMismatchError, match=r"network\.crace\.n "):
+            train(dataset, cfg, net_cfg, resume=ckpt)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
