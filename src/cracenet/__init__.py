@@ -6,7 +6,7 @@ FPN-like detector with boundary-aware multi-level supervision, the full
 saliency evaluation suite, and a deterministic SGD trainer.
 """
 
-from .tensor import Tensor, backward, concat_channels, relu, sigmoid, zero_grads
+from .tensor import Tensor, backward, concat_channels, no_grad, relu, sigmoid, zero_grads
 from .layers import (
     BatchNormLayer,
     Conv2dLayer,

@@ -31,7 +31,13 @@ from .layers import resize_bilinear_np
 from .losses import LossConfig
 from .metrics import evaluate_dataset
 from .network import EncoderConfig, NetworkConfig
-from .trainer import TrainConfig, build_model_from_checkpoint, predict_to_dir, train
+from .trainer import (
+    TrainConfig,
+    _save_level_maps,
+    build_model_from_checkpoint,
+    predict_maps,
+    train,
+)
 
 __all__ = ["main"]
 
@@ -183,11 +189,12 @@ def _cmd_predict(args) -> int:
                 path.stem,
             )
         )
-    finals = predict_to_dir(model, samples, out_dir, dump_levels=args.dump_levels)
-    # Final maps go back to each image's native resolution, resized before
-    # they are quantized.
-    for s, final in zip(samples, finals):
+    for s, final in zip(samples, predict_maps(model, samples)):
+        # Each final map goes back to its image's native resolution and is
+        # quantized once, after the resize.
         save_gray(out_dir / f"{s.id}.pgm", resize_bilinear_np(final, originals[s.id]))
+        if args.dump_levels:
+            _save_level_maps(model, s, out_dir)
     print(f"wrote {len(samples)} saliency maps to {out_dir}")
     return 0
 

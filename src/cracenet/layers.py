@@ -8,6 +8,8 @@ trainer's job.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .tensor import Tensor, ShapeError, make_node, relu
@@ -168,7 +170,8 @@ def conv2d(x: Tensor, layer: Conv2dLayer) -> Tensor:
         return _conv1x1(x, w, b)
 
     pad = d * (k - 1) // 2
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    xp = np.zeros((B, C, H + 2 * pad, W + 2 * pad))
+    xp[:, :, pad : pad + H, pad : pad + W] = x.data
     cols, Ho, Wo = _im2col(xp, k, s, d)
     wmat = w.data.reshape(layer.out_channels, -1)
     out = cols @ wmat.T
@@ -241,25 +244,41 @@ class BatchNormLayer(Module):
         B, C, H, W = x.shape
         if C != self.channels:
             raise ShapeError(f"batchnorm: {C} channels, layer has {self.channels}")
+        if not training:
+            return self._eval_forward(x)
+        if B * H * W < 2:
+            raise DegenerateStatisticsError(
+                "train-mode batch norm needs >= 2 elements per channel"
+            )
         gamma = self.gamma.reshape(1, C, 1, 1)
         beta = self.beta.reshape(1, C, 1, 1)
-        if training:
-            if B * H * W < 2:
-                raise DegenerateStatisticsError(
-                    "train-mode batch norm needs >= 2 elements per channel"
-                )
-            mu = x.mean(axis=(0, 2, 3), keepdims=True)
-            centered = x - mu
-            var = (centered * centered).mean(axis=(0, 2, 3), keepdims=True)
-            xhat = centered * (var + self.epsilon) ** -0.5
-            m = self.momentum
-            self.running_mean = (1 - m) * self.running_mean + m * mu.data.reshape(C)
-            self.running_var = (1 - m) * self.running_var + m * var.data.reshape(C)
-        else:
-            rm = Tensor(self.running_mean.reshape(1, C, 1, 1))
-            rstd = Tensor(1.0 / np.sqrt(self.running_var + self.epsilon).reshape(1, C, 1, 1))
-            xhat = (x - rm) * rstd
+        mu = x.mean(axis=(0, 2, 3), keepdims=True)
+        centered = x - mu
+        var = (centered * centered).mean(axis=(0, 2, 3), keepdims=True)
+        xhat = centered * (var + self.epsilon) ** -0.5
+        m = self.momentum
+        self.running_mean = (1 - m) * self.running_mean + m * mu.data.reshape(C)
+        self.running_var = (1 - m) * self.running_var + m * var.data.reshape(C)
         return xhat * gamma + beta
+
+    def _eval_forward(self, x: Tensor) -> Tensor:
+        """``((x - mean) * rstd) * gamma + beta`` with the running statistics,
+        as one node computed in place on one buffer."""
+        C = self.channels
+        rm = self.running_mean.reshape(1, C, 1, 1)
+        rstd = 1.0 / np.sqrt(self.running_var + self.epsilon).reshape(1, C, 1, 1)
+        gamma, beta = self.gamma.data, self.beta.data
+        out = x.data - rm
+        out *= rstd
+        out *= gamma.reshape(1, C, 1, 1)
+        out += beta.reshape(1, C, 1, 1)
+
+        def bwd(g):
+            xhat = (x.data - rm) * rstd
+            gx = (g * gamma.reshape(1, C, 1, 1)) * rstd
+            return gx, (g * xhat).sum(axis=(0, 2, 3)), g.sum(axis=(0, 2, 3))
+
+        return make_node(out, (x, self.gamma, self.beta), bwd)
 
 
 class ConvBnRelu(Module):
@@ -286,11 +305,22 @@ class ConvBnRelu(Module):
 # -- resampling ----------------------------------------------------------
 
 
+# The 1-D grids and matrices depend only on (n_in, n_out, align_corners), so
+# they are built once per size pair and shared read-only by every caller.
+
+
+def _read_only(*arrays: np.ndarray):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=256)
 def _interp_grid(n_in: int, n_out: int, align_corners: bool):
     """Source taps (i0, i1) and blend factor t for 1-D linear resampling."""
     if n_in == 1:
         z = np.zeros(n_out, dtype=np.intp)
-        return z, z, np.zeros(n_out)
+        return _read_only(z, z, np.zeros(n_out))
     if align_corners and n_out > 1:
         src = np.arange(n_out) * (n_in - 1) / (n_out - 1)
     else:
@@ -299,15 +329,17 @@ def _interp_grid(n_in: int, n_out: int, align_corners: bool):
     i0 = np.floor(src).astype(np.intp)
     i0 = np.minimum(i0, n_in - 2)
     i1 = i0 + 1
-    return i0, i1, src - i0
+    return _read_only(i0, i1, src - i0)
 
 
+@lru_cache(maxsize=256)
 def _interp_matrix(n_in: int, n_out: int, align_corners: bool) -> np.ndarray:
     i0, i1, t = _interp_grid(n_in, n_out, align_corners)
     m = np.zeros((n_out, n_in))
     rows = np.arange(n_out)
     np.add.at(m, (rows, i0), 1.0 - t)
     np.add.at(m, (rows, i1), t)
+    m.flags.writeable = False
     return m
 
 
@@ -343,10 +375,10 @@ def upsample(
     data = rows[:, :, :, c0] + tc[None, None, None, :] * (
         rows[:, :, :, c1] - rows[:, :, :, c0]
     )
-    wr = _interp_matrix(H, Ho, align_corners)
-    wc = _interp_matrix(W, Wo, align_corners)
 
     def bwd(g):
+        wr = _interp_matrix(H, Ho, align_corners)
+        wc = _interp_matrix(W, Wo, align_corners)
         gz = np.tensordot(g, wc, axes=([3], [0]))          # (B, C, Ho, W)
         gx = np.tensordot(gz, wr, axes=([2], [0]))          # (B, C, W, H)
         return (np.ascontiguousarray(gx.transpose(0, 1, 3, 2)),)
@@ -423,8 +455,8 @@ def resize_bilinear_np(arr: np.ndarray, out_hw: tuple[int, int]) -> np.ndarray:
     Ho, Wo = out_hw
     if (H, W) == (Ho, Wo):
         return arr.copy()
-    r0, r1, tr = _interp_grid(H, Ho, align_corners=False)
-    c0, c1, tc = _interp_grid(W, Wo, align_corners=False)
+    r0, r1, tr = _interp_grid(H, Ho, False)
+    c0, c1, tc = _interp_grid(W, Wo, False)
     rows = arr[..., r0, :] + tr[:, None] * (arr[..., r1, :] - arr[..., r0, :])
     return rows[..., c0] + tc * (rows[..., c1] - rows[..., c0])
 

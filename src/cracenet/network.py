@@ -4,7 +4,8 @@ A small 4-stage residual encoder produces feature maps at strides
 4/8/16/32.  The deepest map is channel-projected, then three chained
 fusion modules carry context from deep to shallow.  Each refined level
 feeds a 1x1 saliency head and a 1x1 boundary head whose logits are
-upsampled to the input resolution.
+upsampled to the input resolution.  ``infer`` serves the final map only:
+it records no graph and evaluates just the level-2 saliency head.
 
 In RGB-D mode a second encoder (same architecture, separate weights,
 native 1-channel stem) provides depth features to the fusion modules
@@ -19,7 +20,7 @@ import numpy as np
 
 from .crace import CraceConfig, CraceModule
 from .layers import BatchNormLayer, Conv2dLayer, ConvBnRelu, Module, relu, upsample
-from .tensor import Tensor, ShapeError, sigmoid
+from .tensor import Tensor, ShapeError, no_grad, sigmoid
 
 __all__ = ["EncoderConfig", "NetworkConfig", "SodNetwork", "InputSizeError", "ModeError"]
 
@@ -61,6 +62,11 @@ class NetworkConfig:
     def default(mode: str = "rgb") -> "NetworkConfig":
         crace = CraceConfig(depth_input=(mode == "rgbd"))
         return NetworkConfig(EncoderConfig(), crace, mode)
+
+
+def _upsample_to(t: Tensor, height: int) -> Tensor:
+    """Head logits upsampled to the input resolution."""
+    return upsample(t, height // t.shape[2])
 
 
 class ResidualBlock(Module):
@@ -205,28 +211,18 @@ class SodNetwork(Module):
         training: bool = False,
     ) -> dict:
         """Per-level saliency/edge logit maps, upsampled to the input size."""
-        H, W = input_hw
-
-        def up_to_full(t: Tensor) -> Tensor:
-            factor = H // t.shape[2]
-            return upsample(t, factor)
-
-        saliency = [up_to_full(head.forward(f)) for head, f in zip(self.saliency_heads, refined)]
-        edges = [up_to_full(head.forward(f)) for head, f in zip(self.edge_heads, refined)]
+        H = input_hw[0]
+        saliency = [_upsample_to(h.forward(f), H) for h, f in zip(self.saliency_heads, refined)]
+        edges = [_upsample_to(h.forward(f), H) for h, f in zip(self.edge_heads, refined)]
         out = {"saliency_logits": saliency, "edge_logits": edges}
         if self.depth_heads is not None and depth_features is not None:
             out["depth_logits"] = [
-                up_to_full(head.forward(d))
-                for head, d in zip(self.depth_heads, depth_features)
+                _upsample_to(h.forward(d), H) for h, d in zip(self.depth_heads, depth_features)
             ]
         return out
 
-    def forward(
-        self,
-        image: Tensor,
-        depth: Tensor | None = None,
-        training: bool = False,
-    ) -> dict:
+    def _refine(self, image: Tensor, depth: Tensor | None, training: bool):
+        """Encode and run the context flow: (refined levels, depth features)."""
         if self.mode == "rgb":
             if depth is not None:
                 raise ModeError("RGB-mode network does not accept depth input")
@@ -237,15 +233,30 @@ class SodNetwork(Module):
             depth_features = self.encode_depth(depth, training)
         features = self.encode(image, training)
         pass_depth = depth_features if self.config.crace.depth_input else None
-        refined = self.context_flow(features, pass_depth, training)
+        return self.context_flow(features, pass_depth, training), depth_features
+
+    def forward(
+        self,
+        image: Tensor,
+        depth: Tensor | None = None,
+        training: bool = False,
+    ) -> dict:
+        refined, depth_features = self._refine(image, depth, training)
         return self.predict(refined, image.shape[2:], depth_features, training)
 
     def infer(self, image: np.ndarray, depth: np.ndarray | None = None) -> np.ndarray:
-        """Final saliency probability map for one (3, H, W) image."""
-        img = Tensor(image[None])
-        dep = Tensor(depth[None, None]) if depth is not None else None
-        out = self.forward(img, dep, training=False)
-        return sigmoid(out["saliency_logits"][0]).data[0, 0]
+        """Final saliency probability map for one (3, H, W) image.
+
+        Equal, bit for bit, to ``sigmoid(forward(...)["saliency_logits"][0])``
+        in eval mode, but it records no graph and evaluates only the final
+        (level-2) saliency head.
+        """
+        with no_grad():
+            img = Tensor(image[None])
+            dep = Tensor(depth[None, None]) if depth is not None else None
+            refined, _ = self._refine(img, dep, training=False)
+            logits = _upsample_to(self.saliency_heads[0].forward(refined[0]), image.shape[1])
+            return sigmoid(logits).data[0, 0]
 
     def _list_items(self, attr: str, items: list):
         head = attr[:-1]  # saliency_heads -> saliency_head2..saliency_head5

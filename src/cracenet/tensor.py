@@ -4,8 +4,18 @@ Every value in this package is carried by a :class:`Tensor`: a contiguous
 row-major float64 array, an optional gradient of the same shape, and a
 record of the operation that produced it.  Recorded operations link into a
 DAG; :func:`backward` walks that DAG exactly once in reverse topological
-order and accumulates d(loss)/d(x) into every tensor that requires
-gradients.
+order and accumulates d(loss)/d(x) into the ``grad`` of every *leaf* that
+requires gradients (a tensor made by the caller, not by an op, such as a
+parameter).  Interior nodes pass their upstream gradient on and keep no
+``grad``.
+
+Inference needs no graph.  Inside ``with no_grad():`` every op computes
+its result as usual but records no parents and no backward rule, so the
+result does not require gradients and the intermediates are freed as soon
+as nothing refers to them.  The block nests and restores the previous
+state on exit, exceptions included.  The state lives in a
+:class:`contextvars.ContextVar`, so it is per thread: a ``no_grad`` block
+on one thread leaves graphs recorded on other threads untouched.
 
 Tensors are immutable after creation except for their ``grad`` field.  A
 graph and its tensors are confined to one thread for the duration of a
@@ -16,7 +26,9 @@ and op sequences reproduce bit-identical data and gradients.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -32,6 +44,7 @@ __all__ = [
     "exp",
     "log",
     "make_node",
+    "no_grad",
     "pad_bottom_right",
     "relu",
     "sigmoid",
@@ -155,15 +168,28 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
 
+_recording: ContextVar[bool] = ContextVar("cracenet_recording", default=True)
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Record no graph inside the block (see the module docstring)."""
+    token = _recording.set(False)
+    try:
+        yield
+    finally:
+        _recording.reset(token)
+
+
 def make_node(data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
     """Wrap a forward result, recording parents and a backward rule.
 
     ``backward_fn(upstream)`` must return one gradient array (or None) per
     parent.  Returned arrays may alias ``upstream``; the backward pass never
-    mutates them in place.
+    mutates them in place.  Under :func:`no_grad` nothing is recorded.
     """
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _recording.get() and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward_fn
@@ -428,10 +454,11 @@ def zero_grads(tensors: Iterable[Tensor]) -> None:
 
 
 def backward(loss: Tensor) -> None:
-    """Populate d(loss)/dx for every tensor reachable from ``loss``.
+    """Populate d(loss)/dx for every leaf reachable from ``loss``.
 
-    ``loss`` must be a scalar (size 1).  Repeated calls without
-    :func:`zero_grads` accumulate into existing gradients.
+    ``loss`` must be a scalar (size 1).  Only leaves (tensors without a
+    backward rule) receive ``grad``; interior nodes keep none.  Repeated
+    calls without :func:`zero_grads` accumulate into existing gradients.
     """
     if not isinstance(loss, Tensor):
         raise GraphError("backward expects a Tensor")
@@ -463,11 +490,8 @@ def backward(loss: Tensor) -> None:
         g = upstream.pop(id(node), None)
         if g is None:
             continue
-        if node.grad is None:
-            node.grad = g.copy()
-        else:
-            node.grad = node.grad + g
         if node._backward is None:
+            node.grad = g.copy() if node.grad is None else node.grad + g
             continue
         parent_grads = node._backward(g)
         for parent, pg in zip(node._parents, parent_grads):

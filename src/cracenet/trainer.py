@@ -34,7 +34,7 @@ from .losses import (
 )
 from .metrics import MetricReport, evaluate_pairs
 from .network import EncoderConfig, NetworkConfig, SodNetwork
-from .tensor import Tensor, backward, sigmoid, zero_grads
+from .tensor import Tensor, backward, no_grad, sigmoid, zero_grads
 
 __all__ = [
     "ABLATION_SCHEDULE",
@@ -464,21 +464,25 @@ def predict_to_dir(
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    finals = []
-    for s in samples:
-        img = Tensor(s.image[None])
-        dep = Tensor(s.depth[None, None]) if model.mode == "rgbd" else None
-        out = model.forward(img, dep, training=False)
-        final = sigmoid(out["saliency_logits"][0]).data[0, 0]
-        finals.append(final)
+    finals = predict_maps(model, samples)
+    for s, final in zip(samples, finals):
         save_gray(out_dir / f"{s.id}.pgm", final)
         if dump_levels:
-            for level, (sal, edg) in enumerate(
-                zip(out["saliency_logits"], out["edge_logits"]), start=2
-            ):
-                save_gray(out_dir / f"{s.id}_P{level}.pgm", sigmoid(sal).data[0, 0])
-                save_gray(out_dir / f"{s.id}_E{level}.pgm", sigmoid(edg).data[0, 0])
+            _save_level_maps(model, s, out_dir)
     return finals
+
+
+def _save_level_maps(model: SodNetwork, s: Sample, out_dir: Path) -> None:
+    """``<id>_P<level>.pgm`` and ``<id>_E<level>.pgm`` for levels 2-5, from
+    one forward pass that records no graph."""
+    with no_grad():
+        dep = Tensor(s.depth[None, None]) if model.mode == "rgbd" else None
+        out = model.forward(Tensor(s.image[None]), dep, training=False)
+        for level, (sal, edg) in enumerate(
+            zip(out["saliency_logits"], out["edge_logits"]), start=2
+        ):
+            save_gray(out_dir / f"{s.id}_P{level}.pgm", sigmoid(sal).data[0, 0])
+            save_gray(out_dir / f"{s.id}_E{level}.pgm", sigmoid(edg).data[0, 0])
 
 
 # -- ablation harness -----------------------------------------------------------------

@@ -60,6 +60,43 @@ def check_gradients(
             )
 
 
+def backward_every_node(loss):
+    """d(loss)/d(node) for every node that requires grad, keyed by id.
+
+    The reverse-mode walk as it was before ``backward`` kept gradients on
+    leaves only: every node, interior or leaf, receives a copy of its full
+    upstream gradient.  It touches no ``grad`` field.
+    """
+    order, seen, stack = [], set(), [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if p.requires_grad and id(p) not in seen:
+                stack.append((p, False))
+    grads = {}
+    upstream = {id(loss): np.ones_like(loss.data)}
+    for node in reversed(order):
+        g = upstream.pop(id(node), None)
+        if g is None:
+            continue
+        grads[id(node)] = g.copy()
+        if node._backward is None:
+            continue
+        for parent, pg in zip(node._parents, node._backward(g)):
+            if pg is None or not parent.requires_grad:
+                continue
+            key = id(parent)
+            upstream[key] = upstream[key] + pg if key in upstream else pg
+    return grads
+
+
 # -- convolution by direct summation -------------------------------------------
 
 

@@ -1,6 +1,10 @@
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from cracenet import cli, trainer
 from cracenet.cli import build_configs, main
 from cracenet.crace import CraceConfig
 from cracenet.data import (
@@ -22,6 +26,8 @@ total_steps = 4
 batch_size = 2
 input_size = 32
 seed = 3
+lr_head = 0.001
+lr_backbone = 0.0001
 multiscale = false
 widths = 4, 8, 12, 16
 n = 8
@@ -39,6 +45,11 @@ def workspace(tmp_path_factory):
     (root / "train.cfg").write_text(TINY_CONFIG)
     assert main(["train", "--data", str(root / "data"), "--out", str(root / "run"),
                  "--config", str(root / "train.cfg"), "--quiet"]) == 0
+    # Small learning rates keep the maps graded: map comparisons below would
+    # pass on any model if it predicted one value everywhere.
+    model, *_ = build_model_from_checkpoint(root / "run/checkpoint.ckpt")
+    probs = model.infer(load_rgb(root / "data/images/0000.ppm"))
+    assert probs.max() - probs.min() > 1e-3
     return root
 
 
@@ -146,8 +157,27 @@ class TestPredictEval:
         for pa in sorted(a.glob("*.pgm")):
             assert pa.read_bytes() == (b / pa.name).read_bytes()
 
+    def test_predict_writes_each_map_once(self, workspace, tmp_path, monkeypatch):
+        writes = Counter()
+
+        def counting(save):
+            def save_gray(path, arr):
+                writes[Path(path).name] += 1
+                save(path, arr)
+            return save_gray
+
+        monkeypatch.setattr(cli, "save_gray", counting(cli.save_gray))
+        monkeypatch.setattr(trainer, "save_gray", counting(trainer.save_gray))
+        assert main(["predict", "--checkpoint", str(workspace / "run/checkpoint.ckpt"),
+                     "--images", str(workspace / "data/images"),
+                     "--out", str(tmp_path / "pred"), "--dump-levels"]) == 0
+        finals = [p.stem + ".pgm" for p in (workspace / "data/images").glob("*.ppm")]
+        assert len(finals) == 4
+        assert all(writes[name] == 1 for name in finals)
+        assert len(writes) == 4 * (1 + 8)
+        assert set(writes.values()) == {1}
+
     def test_predict_resizes_float_map_before_quantizing(self, tmp_path):
-        # An untrained model gives graded maps; the trained tiny one saturates.
         net_cfg = NetworkConfig(
             EncoderConfig(widths=(4, 8, 12, 16)),
             CraceConfig(n=8, sampling_rates=(1, 2), dilation_rates=(1, 2)),

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cracenet import layers
 from cracenet.layers import (
     BatchNormLayer,
     Conv2dLayer,
@@ -140,6 +141,38 @@ class TestBatchNorm:
             )
 
 
+    def _eval_layer(self, rng):
+        bn = BatchNormLayer(3)
+        bn.gamma.data = rng.normal(size=3)
+        bn.beta.data = rng.normal(size=3)
+        bn.running_mean = rng.normal(size=3)
+        bn.running_var = rng.uniform(0.2, 3.0, size=3)
+        return bn
+
+    def test_eval_mode_is_one_node_equal_to_the_formula(self):
+        rng = np.random.default_rng(22)
+        bn = self._eval_layer(rng)
+        x = t(rng.normal(size=(2, 3, 4, 5)), grad=True)
+        out = bn.forward(x, training=False)
+        assert out._parents == (x, bn.gamma, bn.beta)
+        c = (1, 3, 1, 1)
+        rstd = 1.0 / np.sqrt(bn.running_var + bn.epsilon).reshape(c)
+        want = ((x.data - bn.running_mean.reshape(c)) * rstd) * bn.gamma.data.reshape(
+            c
+        ) + bn.beta.data.reshape(c)
+        assert out.data.tobytes() == want.tobytes()
+
+    def test_eval_mode_gradients(self):
+        rng = np.random.default_rng(23)
+        bn = self._eval_layer(rng)
+        x = t(rng.normal(size=(2, 3, 3, 4)), grad=True)
+        check_gradients(
+            lambda: (bn.forward(x, training=False) ** 3.0).mean(),
+            [x, bn.gamma, bn.beta],
+            rng=rng,
+        )
+
+
 class TestRelu:
     def test_definition(self):
         assert np.array_equal(relu(t([-1.0, 0.0, 2.0])).data, [0.0, 0.0, 2.0])
@@ -181,6 +214,17 @@ class TestUpsample:
         x = t(rng.normal(size=(1, 2, 3, 4)), grad=True)
         for mode in ("bilinear", "nearest"):
             check_gradients(lambda: (upsample(x, 2, mode=mode) ** 2.0).mean(), [x], rng=rng)
+
+
+    def test_cached_resample_arrays_are_read_only(self):
+        # Shared by every caller, so a write must fail rather than corrupt them.
+        for align in (False, True):
+            grid = layers._interp_grid(3, 12, align)
+            assert grid is layers._interp_grid(3, 12, align)
+            matrix = layers._interp_matrix(3, 12, align)
+            for arr in (*grid, matrix, *layers._interp_grid(1, 4, align)):
+                with pytest.raises(ValueError):
+                    arr[0] = 1
 
 
 class TestDownsample:

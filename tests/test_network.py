@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cracenet.crace import CraceConfig
 from cracenet.network import (
@@ -13,7 +14,7 @@ from cracenet.network import (
     NetworkConfig,
     SodNetwork,
 )
-from cracenet.tensor import ShapeError, Tensor, backward, zero_grads
+from cracenet.tensor import ShapeError, Tensor, backward, sigmoid, zero_grads
 
 
 def small_net(mode="rgb", depth_input=None, seed=0):
@@ -122,6 +123,40 @@ class TestPredict:
             small_net("rgb").forward(rand_image(), Tensor(np.zeros((1, 1, 64, 64))))
         with pytest.raises(ModeError):
             small_net("rgbd").forward(rand_image())
+
+
+class TestInfer:
+    """``infer`` is the graph-free, final-head-only fast path of ``forward``."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        mode=st.sampled_from(["rgb", "rgbd"]),
+        toggles=st.lists(st.booleans(), min_size=5, max_size=5),
+        side=st.sampled_from([32, 64, 96]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_equals_the_recorded_forward(self, mode, toggles, side, seed):
+        ca, cha, ms, af, depth_input = toggles
+        crace = CraceConfig(
+            n=8, sampling_rates=(1, 2), dilation_rates=(1, 2),
+            enable_cross_attention=ca, enable_channel_attention=cha,
+            enable_multiscale=ms, enable_attentive_fusion=af,
+            depth_input=mode == "rgbd" and depth_input,
+        )
+        net = SodNetwork(NetworkConfig(EncoderConfig(widths=(4, 8, 12, 16)), crace, mode), seed)
+        rng = np.random.default_rng(seed)
+        for name, buf in net.buffers():  # non-trivial running statistics
+            if name.endswith("running_var"):
+                buf[...] = rng.uniform(0.5, 2.0, buf.shape)
+            else:
+                buf[...] = rng.normal(size=buf.shape)
+        image = rng.uniform(size=(3, side, side))
+        depth = rng.uniform(size=(side, side)) if mode == "rgbd" else None
+        dep = Tensor(depth[None, None]) if depth is not None else None
+        logits = net.forward(Tensor(image[None]), dep)["saliency_logits"][0]
+        assert logits._backward is not None  # the reference path records its graph
+        want = sigmoid(logits).data[0, 0]
+        assert net.infer(image, depth).tobytes() == want.tobytes()
 
 
 class TestTraining:

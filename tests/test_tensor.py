@@ -1,17 +1,23 @@
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cracenet.crace import CraceConfig
+from cracenet.network import EncoderConfig, NetworkConfig, SodNetwork
 from cracenet.tensor import (
     Tensor,
     GraphError,
     ShapeError,
     backward,
     concat_channels,
+    no_grad,
     sigmoid,
     relu,
     zero_grads,
 )
-from oracles import check_gradients
+from oracles import backward_every_node, check_gradients
 
 
 def t(arr, grad=True):
@@ -172,3 +178,115 @@ def test_shape_closure_reductions():
     assert x.sum().shape == ()
     assert x.reshape(6, 20).shape == (6, 20)
     assert x.transpose((0, 2, 3, 1)).shape == (2, 4, 5, 3)
+
+
+def _graph_nodes(root):
+    """Every tensor reachable from ``root`` through recorded parents."""
+    nodes, seen, stack = [], set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        nodes.append(node)
+        stack.extend(node._parents)
+    return nodes
+
+
+def _deterministic_graph():
+    """The graph of ``TestBackward.test_deterministic_bit_identical``."""
+    rng = np.random.default_rng(42)
+    x = t(rng.normal(size=(4, 5)))
+    w = t(rng.normal(size=(4, 5)))
+    return (sigmoid(x * w) + relu(x - w)).mean(), [x, w]
+
+
+class TestLeafGradients:
+    def test_interior_nodes_keep_no_grad(self):
+        loss, leaves = _deterministic_graph()
+        backward(loss)
+        interior = [n for n in _graph_nodes(loss) if n._backward is not None]
+        assert len(interior) > 5
+        assert all(n.grad is None for n in interior)
+        assert all(leaf.grad is not None for leaf in leaves)
+
+    def test_leaf_grads_equal_the_every_node_walk(self):
+        loss, leaves = _deterministic_graph()
+        want = backward_every_node(loss)
+        backward(loss)
+        for leaf in leaves:
+            assert leaf.grad.tobytes() == want[id(leaf)].tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_random_graphs_leaf_grads_equal_the_every_node_walk(self, seed):
+        loss_fn, leaves = _random_graph(np.random.default_rng(seed))
+        loss = loss_fn()
+        want = backward_every_node(loss)
+        backward(loss)
+        for leaf in leaves:
+            assert leaf.grad.tobytes() == want[id(leaf)].tobytes()
+        assert all(n.grad is None for n in _graph_nodes(loss) if n._backward is not None)
+
+
+class TestNoGrad:
+    def test_records_nothing(self, monkeypatch):
+        net = SodNetwork(
+            NetworkConfig(
+                EncoderConfig(widths=(4, 8, 12, 16)),
+                CraceConfig(n=8, sampling_rates=(1, 2), dilation_rates=(1, 2)),
+                "rgb",
+            )
+        )
+        x = t(np.random.default_rng(0).uniform(size=(2, 3, 32, 32)))
+        made = []
+        init = Tensor.__init__
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            made.append(self)
+
+        monkeypatch.setattr(Tensor, "__init__", recording_init)
+        with no_grad():
+            for training in (False, True):
+                out = net.forward(x, training=training)
+            loss = (sigmoid(out["saliency_logits"][0]) * x.sum()).mean()
+        monkeypatch.undo()
+        assert len(made) > 100
+        assert all(n._backward is None and n._parents == () for n in made)
+        assert not loss.requires_grad
+
+    def test_restores_recording_after_an_exception(self):
+        x = t([1.0, 2.0])
+        with pytest.raises(KeyError):
+            with no_grad():
+                raise KeyError("boom")
+        assert (x * x)._backward is not None
+
+    def test_nests(self):
+        x = t([1.0, 2.0])
+        with no_grad():
+            with no_grad():
+                assert (x * x)._backward is None
+            assert (x * x)._backward is None
+        y = x * x
+        assert y._parents == (x, x)
+        assert y._backward is not None
+
+    def test_other_threads_still_record(self):
+        x = t([1.0, 2.0])
+        results = {}
+
+        def work():
+            results["y"] = x * x
+
+        with no_grad():
+            thread = threading.Thread(target=work)
+            thread.start()
+            thread.join(timeout=30)
+            here = x * x
+        assert not thread.is_alive()
+        assert results["y"]._backward is not None
+        assert here._backward is None
+        backward(results["y"].sum())
+        assert np.array_equal(x.grad, [2.0, 4.0])
