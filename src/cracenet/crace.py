@@ -210,7 +210,7 @@ class CraceModule(Module):
 
     # -- stage 2: channel attention ---------------------------------------
 
-    def channel_attention(self, fused: Tensor, training: bool = False) -> Tensor:
+    def channel_attention(self, fused: Tensor) -> Tensor:
         """Residual channel re-weighting, then 1x1 reduction to n channels."""
         if fused.shape[1] != self.streams * self.config.n:
             raise ShapeError(
@@ -224,7 +224,7 @@ class CraceModule(Module):
 
     # -- stage 3: multi-scale ----------------------------------------------
 
-    def multi_scale(self, x: Tensor, training: bool = False) -> Tensor:
+    def multi_scale(self, x: Tensor) -> Tensor:
         """Sum of downsample -> dilated conv -> upsample branches."""
         if not self.config.enable_multiscale:
             return x
@@ -252,7 +252,6 @@ class CraceModule(Module):
         self,
         x: Tensor,
         global_proj: Tensor,
-        training: bool = False,
         return_parts: bool = False,
     ):
         """Gate the projected global stream and fold it back in."""
@@ -278,14 +277,12 @@ class CraceModule(Module):
         fused, parts = self.cross_attention(
             f_local, f_global, depth, training, return_parts=True
         )
-        x = self.channel_attention(fused, training)
+        x = self.channel_attention(fused)
         parts["channel_attention"] = x
-        x = self.multi_scale(x, training)
+        x = self.multi_scale(x)
         parts["multi_scale"] = x
         if self.config.enable_attentive_fusion:
-            x, fparts = self.attentive_fusion(
-                x, parts["proj_global"], training, return_parts=True
-            )
+            x, fparts = self.attentive_fusion(x, parts["proj_global"], return_parts=True)
             parts["global_attention"] = fparts["attention"]
             parts["gated_global"] = fparts["gated_global"]
         if return_parts:

@@ -122,7 +122,6 @@ class Conv2dLayer(Module):
         dilation: int = 1,
         bias: bool = True,
         rng: np.random.Generator | None = None,
-        weight_scale: float = 1.0,
     ):
         if kernel % 2 != 1 or kernel < 1:
             raise ValueError(f"kernel must be odd and positive, got {kernel}")
@@ -134,7 +133,7 @@ class Conv2dLayer(Module):
         self.stride = stride
         self.dilation = dilation
         rng = rng or np.random.default_rng(0)
-        std = _kaiming_std(in_channels * kernel * kernel) * weight_scale
+        std = _kaiming_std(in_channels * kernel * kernel)
         self.weight = Tensor(
             rng.normal(0.0, std, (out_channels, in_channels, kernel, kernel)),
             requires_grad=True,

@@ -128,31 +128,24 @@ def _check_levels(preds: Sequence[Tensor]) -> None:
 def multilevel_saliency_loss(
     preds: Sequence[Tensor],
     target,
-    weights: Sequence[float] | None = None,
     use_bce: bool = True,
     use_iou: bool = True,
 ) -> Tensor:
     """Saliency supervision summed over all four decoder levels."""
     _check_levels(preds)
-    weights = weights or (1.0,) * NUM_LEVELS
     total = None
-    for w, pred in zip(weights, preds):
-        term = saliency_term(pred, target, use_bce, use_iou) * float(w)
+    for pred in preds:
+        term = saliency_term(pred, target, use_bce, use_iou)
         total = term if total is None else total + term
     return total
 
 
-def multilevel_edge_loss(
-    preds: Sequence[Tensor],
-    edge_target,
-    weights: Sequence[float] | None = None,
-) -> Tensor:
+def multilevel_edge_loss(preds: Sequence[Tensor], edge_target) -> Tensor:
     """Boundary supervision (BCE form) summed over all four levels."""
     _check_levels(preds)
-    weights = weights or (1.0,) * NUM_LEVELS
     total = None
-    for w, pred in zip(weights, preds):
-        term = bce_loss(pred, edge_target) * float(w)
+    for pred in preds:
+        term = bce_loss(pred, edge_target)
         total = term if total is None else total + term
     return total
 

@@ -6,20 +6,24 @@ Conventions (documented because the literature varies):
   t = 0..255, i.e. thresholds sample [0, 1) uniformly.  This keeps a
   prediction identical to its ground truth perfect at every threshold, so
   maxF and mean F are exactly 1 on identical maps.
-* Aggregation.  PR counts accumulate dataset-wide per threshold by
-  default (``per_image=True`` averages per-image curves instead).  The
-  mean F-measure averages F over the curve; an adaptive-threshold variant
-  (2x mean, capped at 1) is available via ``convention="adaptive"``.
-* Weighted F uses a 7x7 Gaussian dependency kernel (sigma 5) whose border
-  truncation is renormalized, so an all-miss prediction scores exactly 0.
+* Aggregation.  PR counts accumulate dataset-wide per threshold, and the
+  mean F-measure averages F over that curve.  maxF and mean F use
+  beta^2 = 0.3.  Every other metric is the sorted-order mean of one
+  per-image score.
+* Weighted F uses beta^2 = 1 and a 7x7 Gaussian dependency kernel
+  (sigma 5) whose border truncation is renormalized, so an all-miss
+  prediction scores exactly 0 (Margolin et al. 2014).
   Its nearest-foreground search compares each background pixel with the
   foreground boundary only, so it costs O(#bg * #boundary) per image.
+* Sm weights its object and region terms equally (Fan et al. 2017).
 * Ground-truth maps with no foreground are skipped (and counted) by the
   F-family metrics; MAE, Sm and Em include them.
 * ``evaluate_pairs`` evaluates each image once and aggregates the
   per-image rows, with the same values as the separate public functions.
 
-All functions take lists of float maps in [0, 1] and binary masks.
+All functions take equally long lists of float maps in [0, 1] and binary
+masks (bool, integer or float) of the same shapes; each list pair is
+checked once and converted to float64.
 """
 
 from __future__ import annotations
@@ -97,14 +101,20 @@ class MetricReport:
         return "\n".join(f"{p:.6f}\t{r:.6f}" for p, r in self.pr) + "\n"
 
 
-def _validate_pairs(preds, gts):
+def _checked_pairs(preds, gts) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Float64 (pred, gt) pairs after the empty, count and shape checks."""
     if len(preds) == 0:
         raise ValueError("empty dataset")
     if len(preds) != len(gts):
         raise ValueError(f"{len(preds)} predictions vs {len(gts)} ground truths")
-    for p, g in zip(preds, gts):
+    pairs = [
+        (np.asarray(p, dtype=np.float64), np.asarray(g, dtype=np.float64))
+        for p, g in zip(preds, gts)
+    ]
+    for p, g in pairs:
         if p.shape != g.shape:
             raise ValueError(f"shape mismatch: pred {p.shape} vs gt {g.shape}")
+    return pairs
 
 
 def _counts_per_threshold(pred: np.ndarray, fg: np.ndarray):
@@ -116,42 +126,30 @@ def _counts_per_threshold(pred: np.ndarray, fg: np.ndarray):
     return tp.astype(np.float64), fp.astype(np.float64)
 
 
-def pr_curve(preds, gts, per_image: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """256-point precision/recall arrays over the dataset."""
-    _validate_pairs(preds, gts)
-    used = 0
-    if per_image:
-        p_rows, r_rows = [], []
-    else:
-        tp_acc = np.zeros(NUM_THRESHOLDS)
-        fp_acc = np.zeros(NUM_THRESHOLDS)
-        fn_acc = np.zeros(NUM_THRESHOLDS)
-    for pred, gt in zip(preds, gts):
-        fg = np.asarray(gt) == 1
-        n_fg = int(fg.sum())
-        if n_fg == 0:
-            continue
-        used += 1
-        tp, fp = _counts_per_threshold(np.asarray(pred, dtype=np.float64), fg)
-        if per_image:
-            p_rows.append(np.where(tp + fp > 0, tp / np.maximum(tp + fp, 1), 1.0))
-            r_rows.append(tp / n_fg)
-        else:
-            # integer-valued accumulators: exact, so image order is irrelevant
+def _pr(pairs) -> tuple[np.ndarray, np.ndarray]:
+    """Precision and recall per threshold from dataset-wide counts."""
+    # Integer-valued accumulators: exact, so image order is irrelevant, and
+    # TP + FN is the foreground total at every threshold.
+    tp_acc = np.zeros(NUM_THRESHOLDS)
+    fp_acc = np.zeros(NUM_THRESHOLDS)
+    n_fg = 0
+    for pred, gt in pairs:
+        fg = gt == 1
+        if fg.any():
+            tp, fp = _counts_per_threshold(pred, fg)
             tp_acc += tp
             fp_acc += fp
-            fn_acc += n_fg - tp
-    if used == 0:
+            n_fg += int(fg.sum())
+    if n_fg == 0:
         raise ValueError("no ground-truth map contains foreground")
-    if per_image:
-        # sort per threshold before averaging to stay order-invariant
-        p_sorted = np.sort(np.stack(p_rows), axis=0)
-        r_sorted = np.sort(np.stack(r_rows), axis=0)
-        return p_sorted.mean(axis=0), r_sorted.mean(axis=0)
     denom = tp_acc + fp_acc
     precision = np.where(denom > 0, tp_acc / np.maximum(denom, 1), 1.0)
-    recall = tp_acc / (tp_acc + fn_acc)
-    return precision, recall
+    return precision, tp_acc / n_fg
+
+
+def pr_curve(preds, gts) -> tuple[np.ndarray, np.ndarray]:
+    """256-point precision/recall arrays over the dataset."""
+    return _pr(_checked_pairs(preds, gts))
 
 
 def f_beta(precision, recall, beta_sq: float = F_BETA_SQ):
@@ -164,53 +162,23 @@ def f_beta(precision, recall, beta_sq: float = F_BETA_SQ):
     return out if out.ndim else float(out)
 
 
-def max_f(curve: tuple[np.ndarray, np.ndarray], beta_sq: float = F_BETA_SQ) -> float:
-    precision, recall = curve
-    return float(np.max(f_beta(precision, recall, beta_sq)))
+def max_f(curve: tuple[np.ndarray, np.ndarray]) -> float:
+    """Best F (beta^2 = 0.3) over the thresholds of a ``pr_curve``."""
+    return float(np.max(f_beta(*curve)))
 
 
-def mean_f(
-    preds,
-    gts,
-    beta_sq: float = F_BETA_SQ,
-    convention: str = "curve",
-    per_image: bool = False,
-) -> float:
-    """Mean F: average over the threshold curve, or adaptive 2x-mean."""
-    if convention == "curve":
-        precision, recall = pr_curve(preds, gts, per_image=per_image)
-        return float(np.mean(f_beta(precision, recall, beta_sq)))
-    if convention != "adaptive":
-        raise ValueError(f"unknown mean-F convention {convention!r}")
-    _validate_pairs(preds, gts)
-    scores, skipped = [], 0
-    for pred, gt in zip(preds, gts):
-        fg = np.asarray(gt) == 1
-        if not fg.any():
-            skipped += 1
-            continue
-        pred = np.asarray(pred, dtype=np.float64)
-        thresh = min(2.0 * pred.mean(), 1.0)
-        binary = pred > thresh
-        tp = float((binary & fg).sum())
-        fp = float((binary & ~fg).sum())
-        precision = tp / (tp + fp) if tp + fp > 0 else 1.0
-        recall = tp / fg.sum()
-        scores.append(f_beta(precision, recall, beta_sq))
-    if not scores:
-        raise ValueError("no ground-truth map contains foreground")
-    if skipped:
-        logger.info("adaptive mean-F skipped %d empty-GT images", skipped)
-    return _ordered_mean(scores)
+def mean_f(preds, gts) -> float:
+    """F (beta^2 = 0.3) averaged over the 256-point threshold curve."""
+    return float(np.mean(f_beta(*pr_curve(preds, gts))))
+
+
+def _mae_single(pred: np.ndarray, gt: np.ndarray) -> float:
+    return float(np.abs(pred - gt).mean())
 
 
 def mae(preds, gts) -> float:
     """Mean over images of the per-image mean absolute error."""
-    _validate_pairs(preds, gts)
-    return _ordered_mean(
-        [np.abs(np.asarray(p, dtype=np.float64) - np.asarray(g)).mean()
-         for p, g in zip(preds, gts)]
-    )
+    return _ordered_mean([_mae_single(p, g) for p, g in _checked_pairs(preds, gts)])
 
 
 # -- weighted F-measure ---------------------------------------------------
@@ -221,6 +189,9 @@ def _gauss_kernel(size: int, sigma: float) -> np.ndarray:
     ax = np.arange(-half, half + 1, dtype=np.float64)
     k = np.exp(-(ax[:, None] ** 2 + ax[None, :] ** 2) / (2.0 * sigma * sigma))
     return k / k.sum()
+
+
+_WF_KERNEL = _gauss_kernel(7, 5.0)
 
 
 def _conv_same(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
@@ -270,18 +241,18 @@ def _nearest_fg(fg: np.ndarray):
     return dist, near_r, near_c
 
 
-def _weighted_f_single(
-    pred: np.ndarray, gt: np.ndarray, sigma: float, ksize: int, beta_sq: float
-) -> float:
+def _weighted_f_single(pred: np.ndarray, gt: np.ndarray) -> float | None:
+    """wF of one image; None when its ground truth has no foreground."""
     fg = gt == 1
+    if not fg.any():
+        return None
     err = np.abs(pred - gt)
     dist, near_r, near_c = _nearest_fg(fg)
     dep_err = err.copy()
     dep_err[~fg] = err[near_r[~fg], near_c[~fg]]
-    kernel = _gauss_kernel(ksize, sigma)
     # Renormalized smoothing: rows of the dependency matrix sum to 1 even at
     # the border, so a uniformly missed object stays a full miss.
-    smoothed = _conv_same(dep_err, kernel) / _conv_same(np.ones_like(dep_err), kernel)
+    smoothed = _conv_same(dep_err, _WF_KERNEL) / _conv_same(np.ones_like(dep_err), _WF_KERNEL)
     adjusted = err.copy()
     take = fg & (smoothed < err)
     adjusted[take] = smoothed[take]
@@ -293,30 +264,24 @@ def _weighted_f_single(
     fp = weighted_err[~fg].sum()
     recall = 1.0 - weighted_err[fg].mean()
     precision = tp / (tp + fp) if tp + fp > 0 else 0.0
-    if precision + recall <= 0:
-        return 0.0
-    return float(
-        (1.0 + beta_sq) * precision * recall / (beta_sq * precision + recall)
-    )
+    return f_beta(precision, recall, 1.0)
 
 
-def weighted_f(preds, gts, sigma: float = 5.0, ksize: int = 7, beta_sq: float = 1.0) -> float:
-    """Weighted F-measure averaged over images with foreground."""
-    _validate_pairs(preds, gts)
-    scores, skipped = [], 0
-    for pred, gt in zip(preds, gts):
-        gt = np.asarray(gt, dtype=np.float64)
-        if not (gt == 1).any():
-            skipped += 1
-            continue
-        scores.append(
-            _weighted_f_single(np.asarray(pred, dtype=np.float64), gt, sigma, ksize, beta_sq)
-        )
+def _fg_mean(scores: list[float | None]) -> tuple[float, int]:
+    """Ordered mean of the wF scores and the number of empty-GT images
+    (``None`` scores), which are skipped; at least one must have foreground."""
+    kept = [s for s in scores if s is not None]
+    skipped = len(scores) - len(kept)
     if skipped:
         logger.info("weighted F skipped %d empty-GT images", skipped)
-    if not scores:
+    if not kept:
         raise ValueError("no ground-truth map contains foreground")
-    return _ordered_mean(scores)
+    return _ordered_mean(kept), skipped
+
+
+def weighted_f(preds, gts) -> float:
+    """Weighted F-measure averaged over images with foreground."""
+    return _fg_mean([_weighted_f_single(p, g) for p, g in _checked_pairs(preds, gts)])[0]
 
 
 # -- structure measure ------------------------------------------------------
@@ -386,27 +351,19 @@ def _s_region(pred: np.ndarray, gt: np.ndarray) -> float:
     return score
 
 
-def _s_measure_single(pred: np.ndarray, gt: np.ndarray, alpha: float) -> float:
+def _s_measure_single(pred: np.ndarray, gt: np.ndarray) -> float:
     mean_gt = float(gt.mean())
     if mean_gt == 0.0:  # no foreground: reward empty predictions
         return 1.0 - float(pred.mean())
     if mean_gt == 1.0:  # all foreground: reward full predictions
         return float(pred.mean())
-    score = alpha * _s_object(pred, gt) + (1.0 - alpha) * _s_region(pred, gt)
+    score = 0.5 * _s_object(pred, gt) + 0.5 * _s_region(pred, gt)
     return float(min(max(score, 0.0), 1.0))
 
 
-def s_measure(preds, gts, alpha: float = 0.5) -> float:
+def s_measure(preds, gts) -> float:
     """Structure measure: object- plus region-aware similarity."""
-    _validate_pairs(preds, gts)
-    return _ordered_mean(
-        [
-            _s_measure_single(
-                np.asarray(p, dtype=np.float64), np.asarray(g, dtype=np.float64), alpha
-            )
-            for p, g in zip(preds, gts)
-        ]
-    )
+    return _ordered_mean([_s_measure_single(p, g) for p, g in _checked_pairs(preds, gts)])
 
 
 # -- enhanced-alignment measure ----------------------------------------------
@@ -427,50 +384,41 @@ def _e_measure_single(pred: np.ndarray, gt: np.ndarray) -> float:
 
 def e_measure(preds, gts) -> float:
     """Enhanced-alignment measure on bias-removed maps, mean over pixels."""
-    _validate_pairs(preds, gts)
-    return _ordered_mean(
-        [
-            _e_measure_single(np.asarray(p, dtype=np.float64), np.asarray(g, dtype=np.float64))
-            for p, g in zip(preds, gts)
-        ]
-    )
+    return _ordered_mean([_e_measure_single(p, g) for p, g in _checked_pairs(preds, gts)])
 
 
 # -- dataset-level aggregation ---------------------------------------------------
 
 
-def evaluate_pairs(preds, gts, ids=None, per_image_pr: bool = False) -> MetricReport:
+def evaluate_pairs(preds, gts, ids=None) -> MetricReport:
     """Full metric bundle over paired prediction / ground-truth lists.
 
-    Each image is evaluated once; the dataset-level wF, MAE, Sm and Em are
-    the ordered means of the per-image rows, which is exactly what
-    ``weighted_f``, ``mae``, ``s_measure`` and ``e_measure`` return.
+    The inputs are checked once and each image is scored once; the
+    dataset-level wF, MAE, Sm and Em are the ordered means of the per-image
+    rows, which is exactly what ``weighted_f``, ``mae``, ``s_measure`` and
+    ``e_measure`` return.
     """
-    _validate_pairs(preds, gts)
-    ids = ids or [str(i) for i in range(len(preds))]
-    precision, recall = pr_curve(preds, gts, per_image=per_image_pr)
+    pairs = _checked_pairs(preds, gts)
+    ids = ids or [str(i) for i in range(len(pairs))]
+    precision, recall = _pr(pairs)
     curve_f = f_beta(precision, recall)
     per_image_rows = []
-    for name, pred, gt in zip(ids, preds, gts):
-        pred = np.asarray(pred, dtype=np.float64)
-        gt = np.asarray(gt, dtype=np.float64)
+    for name, (pred, gt) in zip(ids, pairs):
         row = {
             "id": name,
-            "mae": float(np.abs(pred - gt).mean()),
-            "sm": _s_measure_single(pred, gt, 0.5),
+            "mae": _mae_single(pred, gt),
+            "sm": _s_measure_single(pred, gt),
             "em": _e_measure_single(pred, gt),
         }
-        if (gt == 1).any():
-            row["wf"] = _weighted_f_single(pred, gt, 5.0, 7, 1.0)
+        wf = _weighted_f_single(pred, gt)
+        if wf is not None:
+            row["wf"] = wf
         per_image_rows.append(row)
-    wf_scores = [row["wf"] for row in per_image_rows if "wf" in row]
-    skipped = len(per_image_rows) - len(wf_scores)
-    if skipped:
-        logger.info("weighted F skipped %d empty-GT images", skipped)
+    weighted, skipped = _fg_mean([row.get("wf") for row in per_image_rows])
     return MetricReport(
         max_f=float(np.max(curve_f)),
         mean_f=float(np.mean(curve_f)),
-        weighted_f=_ordered_mean(wf_scores),
+        weighted_f=weighted,
         mae=_ordered_mean([row["mae"] for row in per_image_rows]),
         s_measure=_ordered_mean([row["sm"] for row in per_image_rows]),
         e_measure=_ordered_mean([row["em"] for row in per_image_rows]),
@@ -480,7 +428,7 @@ def evaluate_pairs(preds, gts, ids=None, per_image_pr: bool = False) -> MetricRe
     )
 
 
-def evaluate_dataset(pred_dir, gt_dir, per_image_pr: bool = False) -> MetricReport:
+def evaluate_dataset(pred_dir, gt_dir) -> MetricReport:
     """Load matching grayscale maps from two directories and evaluate.
 
     Filenames (stems) must match exactly; any unmatched file on either
@@ -503,4 +451,4 @@ def evaluate_dataset(pred_dir, gt_dir, per_image_pr: bool = False) -> MetricRepo
     ids = sorted(pred_files)
     preds = [load_gray(pred_files[i]) for i in ids]
     gts = [(load_gray(gt_files[i]) >= 0.5).astype(np.float64) for i in ids]
-    return evaluate_pairs(preds, gts, ids, per_image_pr=per_image_pr)
+    return evaluate_pairs(preds, gts, ids)

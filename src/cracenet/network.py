@@ -208,7 +208,6 @@ class SodNetwork(Module):
         refined: list[Tensor],
         input_hw: tuple[int, int],
         depth_features: list[Tensor] | None = None,
-        training: bool = False,
     ) -> dict:
         """Per-level saliency/edge logit maps, upsampled to the input size."""
         H = input_hw[0]
@@ -242,7 +241,7 @@ class SodNetwork(Module):
         training: bool = False,
     ) -> dict:
         refined, depth_features = self._refine(image, depth, training)
-        return self.predict(refined, image.shape[2:], depth_features, training)
+        return self.predict(refined, image.shape[2:], depth_features)
 
     def infer(self, image: np.ndarray, depth: np.ndarray | None = None) -> np.ndarray:
         """Final saliency probability map for one (3, H, W) image.

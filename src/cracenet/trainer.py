@@ -93,8 +93,13 @@ class TrainConfig:
             raise ValueError(f"mode must be 'rgb' or 'rgbd', got {self.mode!r}")
         if self.lr_backbone <= 0 or self.lr_head <= 0:
             raise ValueError("learning rates must be positive")
-        if self.input_size % 32:
-            raise ValueError("input_size must be a multiple of 32")
+        for name in ("batch_size", "checkpoint_interval"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.input_size < 32 or self.input_size % 32:
+            raise ValueError(
+                f"input_size must be a positive multiple of 32, got {self.input_size}"
+            )
 
     @property
     def warmup(self) -> int:
@@ -167,11 +172,11 @@ def random_crop(
     gt: np.ndarray,
     depth: np.ndarray | None,
     rng: np.random.Generator,
-    min_frac: float = 0.8,
 ):
-    """One shared crop window over all aligned fields."""
+    """One shared crop window over all aligned fields; both sides keep the
+    same uniform random fraction in [0.8, 1) of the input's."""
     H, W = gt.shape
-    frac = rng.uniform(min_frac, 1.0)
+    frac = rng.uniform(0.8, 1.0)
     ch, cw = max(1, round(H * frac)), max(1, round(W * frac))
     oy = int(rng.integers(0, H - ch + 1))
     ox = int(rng.integers(0, W - cw + 1))

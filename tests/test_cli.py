@@ -82,6 +82,15 @@ class TestBuildConfigs:
         _, net_cfg, _ = build_configs({"mode": "rgbd"})
         assert net_cfg.crace.depth_input is True
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("batch_size", "0"), ("checkpoint_interval", "0"), ("input_size", "0"),
+         ("input_size", "-32")],
+    )
+    def test_impossible_sizes_are_errors(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            build_configs({name: value})
+
 
 class TestGenData:
     def test_layout(self, workspace):

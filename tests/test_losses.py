@@ -165,13 +165,6 @@ class TestMultilevel:
             4.0 * bce_loss(t(p), e).item(), rel=1e-12
         )
 
-    def test_level_weights(self):
-        s = np.zeros((1, 1, 4, 4))
-        p = [t(np.full((1, 1, 4, 4), 0.5))] * 4
-        unweighted = multilevel_edge_loss(p, s).item()
-        weighted = multilevel_edge_loss(p, s, weights=(2.0, 1.0, 1.0, 0.0)).item()
-        assert weighted == pytest.approx(unweighted, rel=1e-12)
-
 
 class TestTotals:
     def test_zero_components(self):

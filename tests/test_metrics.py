@@ -76,12 +76,6 @@ class TestPrCurve:
         with pytest.raises(ValueError):
             pr_curve([z], [z])
 
-    def test_per_image_variant(self):
-        pairs = [toy_pair(7), toy_pair(8)]
-        precision, recall = pr_curve([p for p, _ in pairs], [g for _, g in pairs], per_image=True)
-        assert precision.shape == (256,) and recall.shape == (256,)
-        assert np.all((0 <= precision) & (precision <= 1))
-
 
 class TestFMeasure:
     def test_fixed_point(self):
@@ -105,11 +99,6 @@ class TestFMeasure:
     def test_max_dominates_mean(self):
         pred, gt = toy_pair(10, 8)
         assert max_f(pr_curve([pred], [gt])) >= mean_f([pred], [gt])
-
-    def test_adaptive_convention_runs(self):
-        pred, gt = toy_pair(11, 8)
-        val = mean_f([pred], [gt], convention="adaptive")
-        assert 0.0 <= val <= 1.0
 
 
 class TestMae:
@@ -289,6 +278,49 @@ class TestInvariances:
         for value in report.as_dict().values():
             assert 0.0 <= value <= 1.0
         assert report.max_f >= report.mean_f
+
+
+def _report_values(preds, gts):
+    report = evaluate_pairs(preds, gts)
+    return report.as_dict(), report.pr.tobytes(), report.per_image
+
+
+# Every public entry point that takes prediction / ground-truth lists, with
+# its result in a form that compares with ==.
+LIST_METRICS = {
+    "pr_curve": lambda p, g: tuple(a.tobytes() for a in pr_curve(p, g)),
+    "mean_f": mean_f,
+    "weighted_f": weighted_f,
+    "mae": mae,
+    "s_measure": s_measure,
+    "e_measure": e_measure,
+    "evaluate_pairs": _report_values,
+}
+
+
+class TestInputCheck:
+    @pytest.mark.parametrize("case", ["empty", "count", "shape"])
+    @pytest.mark.parametrize("name", sorted(LIST_METRICS))
+    def test_malformed_lists_are_errors(self, name, case):
+        pred, gt = toy_pair(100, 5)
+        preds, gts = {
+            "empty": ([], []),
+            "count": ([pred, pred], [gt]),
+            "shape": ([pred], [gt[:, :4]]),
+        }[case]
+        with pytest.raises(ValueError):
+            LIST_METRICS[name](preds, gts)
+
+    @pytest.mark.parametrize("name", sorted(LIST_METRICS))
+    def test_bool_and_uint8_ground_truth_equal_float(self, name):
+        metric = LIST_METRICS[name]
+        pairs = [toy_pair(s, (6, 7)) for s in (101, 102, 103)]
+        preds = [p for p, _ in pairs]
+        gts = [g for _, g in pairs]
+        gts[1] = np.zeros_like(gts[1])  # an empty ground truth among them
+        expected = metric(preds, gts)
+        for dtype in (bool, np.uint8):
+            assert metric(preds, [g.astype(dtype) for g in gts]) == expected, dtype
 
 
 class TestEvaluateDataset:

@@ -49,6 +49,18 @@ def dataset(tmp_path_factory):
     return load_dataset(root, with_depth=True)
 
 
+class TestTrainConfig:
+    # input_size 0 and -32 are multiples of 32 below the 32-pixel floor.
+    @pytest.mark.parametrize(
+        "name, value",
+        [("batch_size", 0), ("batch_size", -1), ("checkpoint_interval", 0),
+         ("input_size", 0), ("input_size", -32)],
+    )
+    def test_rejects_impossible_sizes(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            TrainConfig(**{name: value})
+
+
 class TestSgdStep:
     def run_steps(self, grads, momentum=0.0, wd=0.0, lr=0.1):
         cfg = TrainConfig(momentum=momentum, weight_decay=wd, lr_head=lr,
