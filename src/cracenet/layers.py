@@ -4,6 +4,20 @@ Convolutions use "same" zero padding (pad = dilation*(kernel-1)/2 per
 side), so stride-1 layers preserve spatial dims and stride-s layers emit
 ceil(H/s).  Forward passes never mutate parameters; updates are the
 trainer's job.
+
+A 1x1 stride-1 convolution is one batched matrix product on the NCHW
+input.  Every other convolution works channels last: the input is copied
+once into a zero-padded (B, Hp, Wp, C) buffer, and the patch matrix is
+copied out of its sliding windows with columns in (kh, kw, C) order, so
+the copy moves contiguous runs of C values.  The weight, stored
+(O, C, kh, kw), is multiplied as its (O, kh*kw*C) reordering, giving the
+NCHW output directly, and the backward pass adds the column gradient back
+into a channels-last buffer one kernel tap at a time.  The patch matrix is
+kept for the weight gradient.
+
+Train-mode batch norm is one graph node that keeps only the normalized
+input x_hat and the per-channel 1/sqrt(var + eps); its backward is the
+closed form ``gx = gamma*rstd*(g - mean(g) - x_hat*mean(g*x_hat))``.
 """
 
 from __future__ import annotations
@@ -144,18 +158,6 @@ class Conv2dLayer(Module):
         return conv2d(x, self)
 
 
-def _im2col(xp: np.ndarray, kernel: int, stride: int, dilation: int):
-    """Patch matrix (B*Ho*Wo, C*k*k) from an already padded input."""
-    B, C, Hp, Wp = xp.shape
-    eff = dilation * (kernel - 1) + 1
-    Ho = (Hp - eff) // stride + 1
-    Wo = (Wp - eff) // stride + 1
-    win = np.lib.stride_tricks.sliding_window_view(xp, (eff, eff), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride, ::dilation, ::dilation]
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(B * Ho * Wo, C * kernel * kernel)
-    return np.ascontiguousarray(cols), Ho, Wo
-
-
 def conv2d(x: Tensor, layer: Conv2dLayer) -> Tensor:
     B, C, H, W = x.shape
     if C != layer.in_channels:
@@ -168,36 +170,46 @@ def conv2d(x: Tensor, layer: Conv2dLayer) -> Tensor:
     if k == 1 and s == 1:
         return _conv1x1(x, w, b)
 
+    O = layer.out_channels
     pad = d * (k - 1) // 2
-    xp = np.zeros((B, C, H + 2 * pad, W + 2 * pad))
-    xp[:, :, pad : pad + H, pad : pad + W] = x.data
-    cols, Ho, Wo = _im2col(xp, k, s, d)
-    wmat = w.data.reshape(layer.out_channels, -1)
-    out = cols @ wmat.T
+    Hp, Wp = H + 2 * pad, W + 2 * pad
+    Ho = (H - 1) // s + 1
+    Wo = (W - 1) // s + 1
+    xp = np.zeros((B, Hp, Wp, C))
+    xp[:, pad : pad + H, pad : pad + W, :] = x.data.transpose(0, 2, 3, 1)
+    eff = d * (k - 1) + 1
+    win = np.lib.stride_tricks.sliding_window_view(xp, (eff, eff), axis=(1, 2))
+    # (B, Ho, Wo, C, kh, kw) windows -> (B, Ho, Wo, kh, kw, C) columns in one
+    # copy that moves contiguous runs of C (of kw*C when dilation is 1).
+    win = win[:, ::s, ::s, :, ::d, ::d].transpose(0, 1, 2, 4, 5, 3)
+    cols = np.ascontiguousarray(win).reshape(B, Ho * Wo, k * k * C)
+    del xp, win
+    wmat = w.data.transpose(0, 2, 3, 1).reshape(O, k * k * C)
+    out = np.matmul(wmat, cols.transpose(0, 2, 1))
     if b is not None:
-        out += b.data
-    out = out.reshape(B, Ho, Wo, layer.out_channels).transpose(0, 3, 1, 2)
-    Hp, Wp = xp.shape[2], xp.shape[3]
+        out += b.data[:, None]
 
     parents = (x, w) if b is None else (x, w, b)
 
     def bwd(g):
-        gmat = g.transpose(0, 2, 3, 1).reshape(B * Ho * Wo, layer.out_channels)
-        gw = (gmat.T @ cols).reshape(w.shape)
-        gcols = gmat @ wmat
-        gpatch = gcols.reshape(B, Ho, Wo, C, k, k).transpose(0, 3, 1, 2, 4, 5)
-        gxp = np.zeros((B, C, Hp, Wp))
+        gm = g.reshape(B, O, Ho * Wo)
+        gw = np.matmul(gm, cols).sum(axis=0).reshape(O, k, k, C).transpose(0, 3, 1, 2)
+        gcols = np.matmul(gm.transpose(0, 2, 1), wmat).reshape(B, Ho, Wo, k, k, C)
+        gxp = np.zeros((B, Hp, Wp, C))
         for i in range(k):
             for j in range(k):
-                gxp[:, :, i * d : i * d + Ho * s : s, j * d : j * d + Wo * s : s] += gpatch[
-                    :, :, :, :, i, j
-                ]
-        gx = gxp[:, :, pad : pad + H, pad : pad + W]
+                gxp[
+                    :,
+                    i * d : i * d + (Ho - 1) * s + 1 : s,
+                    j * d : j * d + (Wo - 1) * s + 1 : s,
+                ] += gcols[:, :, :, i, j, :]
+        gx = gxp[:, pad : pad + H, pad : pad + W, :].transpose(0, 3, 1, 2)
+        gx = np.ascontiguousarray(gx)
         if b is None:
             return gx, gw
-        return gx, gw, gmat.sum(axis=0)
+        return gx, gw, gm.sum(axis=(0, 2))
 
-    return make_node(np.ascontiguousarray(out), parents, bwd)
+    return make_node(out.reshape(B, O, Ho, Wo), parents, bwd)
 
 
 def _conv1x1(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
@@ -214,7 +226,7 @@ def _conv1x1(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
     def bwd(g):
         gm = g.reshape(B, O, H * W)
         gx = np.matmul(wmat.T, gm).reshape(B, C, H, W)
-        gw = np.einsum("boi,bci->oc", gm, xd).reshape(w.shape)
+        gw = np.matmul(gm, xd.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
         if b is None:
             return gx, gw
         return gx, gw, gm.sum(axis=(0, 2))
@@ -227,7 +239,8 @@ class BatchNormLayer(Module):
 
     Train mode normalizes with batch statistics (biased variance) and
     updates the running estimates; eval mode uses the running estimates
-    only, so its output is deterministic for a fixed input.
+    only, so its output is deterministic for a fixed input.  Either mode
+    records one graph node.
     """
 
     def __init__(self, channels: int, epsilon: float = 1e-5, momentum: float = 0.1):
@@ -249,16 +262,28 @@ class BatchNormLayer(Module):
             raise DegenerateStatisticsError(
                 "train-mode batch norm needs >= 2 elements per channel"
             )
-        gamma = self.gamma.reshape(1, C, 1, 1)
-        beta = self.beta.reshape(1, C, 1, 1)
-        mu = x.mean(axis=(0, 2, 3), keepdims=True)
-        centered = x - mu
-        var = (centered * centered).mean(axis=(0, 2, 3), keepdims=True)
-        xhat = centered * (var + self.epsilon) ** -0.5
+        gamma = self.gamma.data.reshape(1, C, 1, 1)
+        mu = x.data.mean(axis=(0, 2, 3), keepdims=True)
+        xhat = x.data - mu
+        var = (xhat * xhat).mean(axis=(0, 2, 3), keepdims=True)
+        rstd = (var + self.epsilon) ** -0.5
+        xhat *= rstd
+        out = xhat * gamma
+        out += self.beta.data.reshape(1, C, 1, 1)
         m = self.momentum
-        self.running_mean = (1 - m) * self.running_mean + m * mu.data.reshape(C)
-        self.running_var = (1 - m) * self.running_var + m * var.data.reshape(C)
-        return xhat * gamma + beta
+        self.running_mean = (1 - m) * self.running_mean + m * mu.reshape(C)
+        self.running_var = (1 - m) * self.running_var + m * var.reshape(C)
+        inv_n = 1.0 / (B * H * W)
+
+        def bwd(g):
+            gbeta = g.sum(axis=(0, 2, 3))
+            ggamma = (g * xhat).sum(axis=(0, 2, 3))
+            gx = g - (gbeta * inv_n).reshape(1, C, 1, 1)
+            gx -= xhat * (ggamma * inv_n).reshape(1, C, 1, 1)
+            gx *= gamma * rstd
+            return gx, ggamma, gbeta
+
+        return make_node(out, (x, self.gamma, self.beta), bwd)
 
     def _eval_forward(self, x: Tensor) -> Tensor:
         """``((x - mean) * rstd) * gamma + beta`` with the running statistics,

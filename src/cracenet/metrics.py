@@ -396,10 +396,14 @@ def evaluate_pairs(preds, gts, ids=None) -> MetricReport:
     The inputs are checked once and each image is scored once; the
     dataset-level wF, MAE, Sm and Em are the ordered means of the per-image
     rows, which is exactly what ``weighted_f``, ``mae``, ``s_measure`` and
-    ``e_measure`` return.
+    ``e_measure`` return.  ``ids`` names the rows, one per pair (default
+    ``"0"``, ``"1"``, ...); any other count raises ``ValueError``.
     """
     pairs = _checked_pairs(preds, gts)
-    ids = ids or [str(i) for i in range(len(pairs))]
+    if ids is None:
+        ids = [str(i) for i in range(len(pairs))]
+    elif len(ids) != len(pairs):
+        raise ValueError(f"evaluate_pairs: {len(ids)} ids for {len(pairs)} pairs")
     precision, recall = _pr(pairs)
     curve_f = f_beta(precision, recall)
     per_image_rows = []

@@ -124,6 +124,57 @@ def conv2d_bruteforce(x, w, b=None, stride=1, dilation=1):
     return out
 
 
+def conv2d_grad_bruteforce(x, w, g, stride=1, dilation=1):
+    """(gx, gw, gb) of ``conv2d_bruteforce`` for the upstream gradient ``g``,
+    each output position handing its gradient to every tap it read."""
+    B, C, H, W = x.shape
+    O, _, k, _ = w.shape
+    pad = dilation * (k - 1) // 2
+    _, _, Ho, Wo = g.shape
+    gx = np.zeros_like(x)
+    gw = np.zeros_like(w)
+    gb = np.zeros(O)
+    for bi in range(B):
+        for o in range(O):
+            for y in range(Ho):
+                for xx in range(Wo):
+                    go = g[bi, o, y, xx]
+                    gb[o] += go
+                    for c in range(C):
+                        for i in range(k):
+                            for j in range(k):
+                                yy = y * stride + i * dilation - pad
+                                xj = xx * stride + j * dilation - pad
+                                if 0 <= yy < H and 0 <= xj < W:
+                                    gx[bi, c, yy, xj] += w[o, c, i, j] * go
+                                    gw[o, c, i, j] += x[bi, c, yy, xj] * go
+    return gx, gw, gb
+
+
+# -- batch norm as a composition of elementwise nodes -----------------------------
+
+
+def batchnorm_train_composed(bn, x):
+    """Train-mode batch norm of ``x`` as a graph of elementwise and
+    reduction nodes: mean, centre, biased variance, ``(var+eps)**-0.5``,
+    ``x_hat*gamma + beta``.
+
+    Returns (output, new running mean, new running variance) and leaves
+    ``bn`` unchanged.
+    """
+    C = x.shape[1]
+    gamma = bn.gamma.reshape(1, C, 1, 1)
+    beta = bn.beta.reshape(1, C, 1, 1)
+    mu = x.mean(axis=(0, 2, 3), keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=(0, 2, 3), keepdims=True)
+    xhat = centered * (var + bn.epsilon) ** -0.5
+    m = bn.momentum
+    running_mean = (1 - m) * bn.running_mean + m * mu.data.reshape(C)
+    running_var = (1 - m) * bn.running_var + m * var.data.reshape(C)
+    return xhat * gamma + beta, running_mean, running_var
+
+
 # -- morphology -----------------------------------------------------------------
 
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cracenet import layers
 from cracenet.layers import (
@@ -13,12 +13,31 @@ from cracenet.layers import (
     global_avg_pool,
     upsample,
 )
-from cracenet.tensor import Tensor, ShapeError, relu
-from oracles import check_gradients, conv2d_bruteforce, erode_bruteforce, upsample_bruteforce
+from cracenet import tensor as tensor_module
+from cracenet.tensor import Tensor, ShapeError, backward, make_node, relu, zero_grads
+from oracles import (
+    batchnorm_train_composed,
+    check_gradients,
+    conv2d_bruteforce,
+    conv2d_grad_bruteforce,
+    erode_bruteforce,
+    upsample_bruteforce,
+)
 
 
 def t(arr, grad=False):
     return Tensor(np.asarray(arr, dtype=np.float64), requires_grad=grad)
+
+
+def assert_rel_close(got, want, rtol=1e-12, scale=None):
+    """Largest deviation within ``rtol`` of ``scale``, by default the largest
+    reference magnitude."""
+    assert got.shape == want.shape
+    if scale is None:
+        scale = np.abs(want).max(initial=0.0)
+    assert np.abs(got - want).max(initial=0.0) <= rtol * scale, (
+        np.abs(got - want).max(), scale
+    )
 
 
 class TestConv2d:
@@ -97,6 +116,41 @@ class TestConv2d:
         ):
             check_gradients(lambda: (conv2d(x, layer) ** 2.0).sum(), [x, layer.weight], rng=rng)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kernel=st.sampled_from([1, 3]),
+        stride=st.sampled_from([1, 2]),
+        dilation=st.sampled_from([1, 2, 4, 6]),
+        bias=st.booleans(),
+        B=st.integers(1, 3),
+        C=st.integers(1, 5),
+        O=st.integers(1, 4),
+        H=st.integers(1, 12),
+        W=st.integers(1, 12),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    # The real net's smallest multi-scale branch: a 2x2 map under dilation 6.
+    @example(kernel=3, stride=1, dilation=6, bias=False, B=2, C=3, O=2, H=2, W=2, seed=0)
+    def test_values_and_gradients_match_direct_summation(
+        self, kernel, stride, dilation, bias, B, C, O, H, W, seed
+    ):
+        rng = np.random.default_rng(seed)
+        layer = Conv2dLayer(C, O, kernel, stride, dilation, bias=bias, rng=rng)
+        if bias:
+            layer.bias.data = rng.normal(size=O)
+        x = t(rng.normal(size=(B, C, H, W)), grad=True)
+        out = conv2d(x, layer)
+        b = layer.bias.data if bias else None
+        assert_rel_close(
+            out.data, conv2d_bruteforce(x.data, layer.weight.data, b, stride, dilation)
+        )
+        g = rng.normal(size=out.shape)
+        grads = out._backward(g)
+        want = conv2d_grad_bruteforce(x.data, layer.weight.data, g, stride, dilation)
+        assert len(grads) == (3 if bias else 2)
+        for got, ref in zip(grads, want):
+            assert_rel_close(got, ref)
+
 
 class TestBatchNorm:
     def test_train_mode_normalizes(self):
@@ -140,6 +194,64 @@ class TestBatchNorm:
                 rng=rng,
             )
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        B=st.integers(1, 3),
+        C=st.integers(1, 4),
+        H=st.integers(1, 5),
+        W=st.integers(1, 5),
+        constant=st.booleans(),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @example(B=1, C=2, H=1, W=2, constant=False, seed=0)
+    @example(B=2, C=3, H=1, W=1, constant=True, seed=1)
+    def test_train_mode_equals_the_composed_graph(self, B, C, H, W, constant, seed):
+        assume(B * H * W >= 2)
+        rng = np.random.default_rng(seed)
+        bn = BatchNormLayer(C)
+        bn.gamma.data = rng.normal(size=C)
+        bn.beta.data = rng.normal(size=C)
+        bn.running_mean = rng.normal(size=C)
+        bn.running_var = rng.uniform(0.2, 3.0, size=C)
+        xd = rng.normal(1.0, 2.0, size=(B, C, H, W))
+        if constant:
+            xd[:, 0] = 3.7
+        upstream = t(rng.normal(size=xd.shape))
+        x_ref = t(xd, grad=True)
+        ref, ref_mean, ref_var = batchnorm_train_composed(bn, x_ref)
+        backward((ref * upstream).sum())
+        ref_grads = [x_ref.grad, bn.gamma.grad, bn.beta.grad]
+        zero_grads([bn.gamma, bn.beta])
+
+        x = t(xd, grad=True)
+        out = bn.forward(x, training=True)
+        assert out.data.tobytes() == ref.data.tobytes()
+        assert bn.running_mean.tobytes() == ref_mean.tobytes()
+        assert bn.running_var.tobytes() == ref_var.tobytes()
+        backward((out * upstream).sum())
+        # The x gradient is a difference of terms of size |gamma*rstd*g|; with
+        # two elements per channel it cancels to nearly 0, so it is measured
+        # against the size of those terms.
+        rstd = 1.0 / np.sqrt(xd.var(axis=(0, 2, 3)) + bn.epsilon)
+        gx_scale = np.abs(bn.gamma.data * rstd).max() * np.abs(upstream.data).max()
+        assert_rel_close(x.grad, ref_grads[0], scale=gx_scale)
+        assert_rel_close(bn.gamma.grad, ref_grads[1])
+        assert_rel_close(bn.beta.grad, ref_grads[2])
+
+    def test_train_mode_records_one_node(self, monkeypatch):
+        nodes = []
+
+        def counting_make_node(data, parents, backward_fn):
+            nodes.append(parents)
+            return make_node(data, parents, backward_fn)
+
+        monkeypatch.setattr(layers, "make_node", counting_make_node)
+        monkeypatch.setattr(tensor_module, "make_node", counting_make_node)
+        bn = BatchNormLayer(3)
+        x = t(np.random.default_rng(24).normal(size=(2, 3, 4, 4)), grad=True)
+        out = bn.forward(x, training=True)
+        assert nodes == [(x, bn.gamma, bn.beta)]
+        assert out._parents == (x, bn.gamma, bn.beta)
 
     def _eval_layer(self, rng):
         bn = BatchNormLayer(3)

@@ -322,6 +322,16 @@ class TestInputCheck:
         for dtype in (bool, np.uint8):
             assert metric(preds, [g.astype(dtype) for g in gts]) == expected, dtype
 
+    @pytest.mark.parametrize("count", [0, 1, 2, 4])
+    def test_evaluate_pairs_rejects_an_id_count_unequal_to_the_pairs(self, count):
+        pairs = [toy_pair(s, 6) for s in (104, 105, 106)]
+        preds = [p for p, _ in pairs]
+        gts = [g for _, g in pairs]
+        with pytest.raises(ValueError):
+            evaluate_pairs(preds, gts, ids=[f"img{i}" for i in range(count)])
+        report = evaluate_pairs(preds, gts, ids=["a", "b", "c"])
+        assert [row["id"] for row in report.per_image] == ["a", "b", "c"]
+
 
 class TestEvaluateDataset:
     def test_identical_dirs_perfect_report(self, tmp_path):
