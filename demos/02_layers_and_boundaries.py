@@ -22,15 +22,17 @@ for dilation in (1, 2, 4):
     print(f"dilation {dilation}: {x.shape} -> {conv2d(x, layer).shape}")
 
 # %%
-# Bilinear upsampling keeps constants constant; average pooling inverts
-# nearest upsampling exactly for power-of-two factors.
+# Bilinear upsampling keeps constants constant; average pooling maps
+# windows of equal values back to that value exactly for power-of-two
+# factors.
 
 const = Tensor(np.full((1, 1, 4, 4), 0.375))
 print("constant preserved:", bool((upsample(const, 4).data == 0.375).all()))
 
-grid = Tensor(np.arange(16.0).reshape(1, 1, 4, 4))
-round_trip = downsample_avg(upsample(grid, 2, mode="nearest"), 2)
-print("nearest round-trip exact:", bool((round_trip.data == grid.data).all()))
+grid = np.arange(16.0).reshape(1, 1, 4, 4)
+cells = Tensor(np.repeat(np.repeat(grid, 2, axis=2), 2, axis=3))
+round_trip = downsample_avg(cells, 2)
+print("equal-window round-trip exact:", bool((round_trip.data == grid).all()))
 
 # %%
 # Boundary ground truth is the mask minus its erosion: a one-pixel band

@@ -53,6 +53,16 @@ for name, kw in [
     print(f"{name:24s} -> {out.shape}, mean {out.data.mean():+.4f}")
 
 # %%
+# A module built with ``in_depth`` takes a third, depth stream; the RGB-D
+# network builds its modules that way, the RGB network without it.
+
+d_local = Tensor(rng.normal(size=(1, 4, 16, 16)))   # stride-8 depth features
+mod_d = CraceModule(12, 16, cfg, rng=np.random.default_rng(2), in_depth=4)
+fused_d = mod_d.cross_attention(f_local, f_global, d_local)
+print("streams without / with depth:", module.streams, mod_d.streams,
+      "->", fused_ca.shape[1], "/", fused_d.shape[1], "channels")
+
+# %%
 # The multi-scale stage pairs sampling rates with dilations; coarser
 # branches get wider receptive fields.
 

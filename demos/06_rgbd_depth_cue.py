@@ -39,8 +39,7 @@ def run(mode):
                       mode=mode, multiscale=False)
     net = NetworkConfig(
         encoder,
-        CraceConfig(n=24, sampling_rates=(1, 2, 4), dilation_rates=(1, 2, 4),
-                    depth_input=(mode == "rgbd")),
+        CraceConfig(n=24, sampling_rates=(1, 2, 4), dilation_rates=(1, 2, 4)),
         mode,
     )
     result = train(samples, cfg, net)

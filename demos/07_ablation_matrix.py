@@ -24,7 +24,7 @@ cfg = TrainConfig(total_steps=20, batch_size=2, input_size=32, seed=5,
                   mode="rgbd", multiscale=False)
 net_cfg = NetworkConfig(
     EncoderConfig(widths=(4, 8, 12, 16)),
-    CraceConfig(n=8, sampling_rates=(1, 2), dilation_rates=(1, 2), depth_input=True),
+    CraceConfig(n=8, sampling_rates=(1, 2), dilation_rates=(1, 2)),
     "rgbd",
 )
 

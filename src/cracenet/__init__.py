@@ -14,14 +14,12 @@ from .layers import (
     conv2d,
     downsample_avg,
     erode,
-    global_avg_pool,
     upsample,
 )
 from .crace import CraceConfig, CraceModule
 from .network import EncoderConfig, NetworkConfig, SodNetwork
 from .losses import (
     LossConfig,
-    SupervisionBundle,
     bce_loss,
     iou_loss,
     make_edge_gt,

@@ -66,17 +66,15 @@ _CONFIG_CLASSES = (TrainConfig, LossConfig, CraceConfig, EncoderConfig)
 _FIELD_TYPES = {cls: get_type_hints(cls) for cls in _CONFIG_CLASSES}
 
 
-def _parse_value(key: str, text: str, kind):
+def _parse_value(text: str, kind):
     """One config value parsed by its dataclass field type."""
     if type(None) in get_args(kind):  # X | None: parse as X
         (kind,) = (arg for arg in get_args(kind) if arg is not type(None))
     if kind is bool:
         return _parse_bool(text)
-    if get_origin(kind) is tuple and set(get_args(kind)) <= {int, Ellipsis}:
+    if get_origin(kind) is tuple:  # tuple[int, ...]
         return _parse_int_tuple(text)
-    if kind in (int, float, str):
-        return kind(text)
-    raise ConfigFileError(f"config key {key!r} cannot be set from a config file")
+    return kind(text)  # int, float or str
 
 
 def build_configs(raw: dict[str, str]):
@@ -84,7 +82,6 @@ def build_configs(raw: dict[str, str]):
 
     String values are parsed by the type of the dataclass field they name;
     other values pass through.  Unknown keys are errors, not warnings.
-    ``branches`` is API-only.
     """
     kwargs = {cls: {} for cls in _CONFIG_CLASSES}
     for key, value in raw.items():
@@ -92,10 +89,9 @@ def build_configs(raw: dict[str, str]):
         if cls is None:
             raise ConfigFileError(f"unknown config key {key!r}")
         if isinstance(value, str):
-            value = _parse_value(key, value, _FIELD_TYPES[cls][key])
+            value = _parse_value(value, _FIELD_TYPES[cls][key])
         kwargs[cls][key] = value
     train_cfg = TrainConfig(**kwargs[TrainConfig])
-    kwargs[CraceConfig].setdefault("depth_input", train_cfg.mode == "rgbd")
     net_cfg = NetworkConfig(
         EncoderConfig(**kwargs[EncoderConfig]), CraceConfig(**kwargs[CraceConfig]), train_cfg.mode
     )

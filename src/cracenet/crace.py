@@ -1,8 +1,8 @@
 """Cross-attention context extraction (CRACE): the decoder fusion block.
 
-A CRACE module fuses a fine local feature with a coarser global feature
-(and optionally a depth feature) in four stages, each independently
-switchable for ablations:
+A CRACE module fuses a fine local feature with a coarser global feature,
+and with a depth feature when it is built with ``in_depth`` (the RGB-D
+network), in four stages, each independently switchable for ablations:
 
 1. cross attention   - a shared single-channel sigmoid map computed from
                        the summed projections re-weights every stream in
@@ -17,6 +17,9 @@ switchable for ablations:
 With every toggle off the module degenerates to a channel-projected
 concatenation of its inputs followed by a 1x1 reduction (the ablation
 baseline).  Output always has ``n`` channels at the local resolution.
+
+Every input is projected by a 3x3 conv-BN-ReLU, and every resampling is
+half-pixel bilinear.
 """
 
 from __future__ import annotations
@@ -53,17 +56,10 @@ class CraceConfig:
     enable_attentive_fusion: bool = True
     sampling_rates: tuple[int, ...] = (1, 2, 4, 8)
     dilation_rates: tuple[int, ...] = (1, 4, 6)
-    depth_input: bool = False
-    proj_kernel: int = 3
-    upsample_mode: str = "bilinear"
-    # Explicit (rate, dilation) pairs override the default pairing rule.
-    branches: tuple[tuple[int, int], ...] | None = None
 
     def __post_init__(self):
         self.sampling_rates = tuple(int(r) for r in self.sampling_rates)
         self.dilation_rates = tuple(int(d) for d in self.dilation_rates)
-        if self.branches is not None:
-            self.branches = tuple((int(r), int(d)) for r, d in self.branches)
         if self.n < 1:
             raise ConfigError("channel width n must be >= 1")
         if any(r < 1 for r in self.sampling_rates):
@@ -77,16 +73,13 @@ class CraceConfig:
         With one fewer dilation than rates, the finest two branches share
         the first dilation: coarser scales get the larger receptive fields.
         """
-        if self.branches is not None:
-            return self.branches
         rates, dils = self.sampling_rates, self.dilation_rates
         if len(dils) == len(rates):
             return tuple(zip(rates, dils))
         if len(dils) == len(rates) - 1:
             return tuple(zip(rates, (dils[0],) + dils))
         raise ConfigError(
-            f"cannot pair {len(rates)} sampling rates with {len(dils)} dilations; "
-            "pass explicit branches"
+            f"cannot pair {len(rates)} sampling rates with {len(dils)} dilations"
         )
 
 
@@ -94,7 +87,8 @@ class CraceModule(Module):
     """Parameters and forward logic for one fusion stage.
 
     ``in_local`` / ``in_global`` (/ ``in_depth``) are the channel counts of
-    the incoming feature maps; every 1x1 conv is sized from the config at
+    the incoming feature maps; the module has a depth stream exactly when
+    ``in_depth`` is given.  Every 1x1 conv is sized from the config at
     construction, so ablation toggles change values but never shapes.
     """
 
@@ -109,16 +103,13 @@ class CraceModule(Module):
         self.config = config
         rng = rng or np.random.default_rng(0)
         n = config.n
-        k = config.proj_kernel
-        if config.depth_input and in_depth is None:
-            raise ConfigError("depth_input is enabled but in_depth was not given")
 
-        self.proj_local = ConvBnRelu(in_local, n, k, rng=rng)
-        self.proj_global = ConvBnRelu(in_global, n, k, rng=rng)
+        self.proj_local = ConvBnRelu(in_local, n, 3, rng=rng)
+        self.proj_global = ConvBnRelu(in_global, n, 3, rng=rng)
         self.proj_depth = (
-            ConvBnRelu(in_depth, n, k, rng=rng) if config.depth_input else None
+            ConvBnRelu(in_depth, n, 3, rng=rng) if in_depth is not None else None
         )
-        self.streams = 3 if config.depth_input else 2
+        self.streams = 2 if self.proj_depth is None else 3
 
         # Attention logits use bias-enabled 1x1 convs without batch norm;
         # normalizing a single-channel logit destabilizes small batches.
@@ -156,10 +147,8 @@ class CraceModule(Module):
         training: bool = False,
     ) -> tuple[Tensor, Tensor, Tensor | None]:
         """Channel-project all inputs to ``n``, upsampling the global map."""
-        if depth is not None and not self.config.depth_input:
-            raise ConfigError("depth feature given, but depth_input is disabled")
-        if depth is None and self.config.depth_input:
-            raise ConfigError("depth_input is enabled but no depth feature was given")
+        if (depth is None) != (self.proj_depth is None):
+            raise ConfigError("give a depth feature exactly when the module has in_depth")
         Bl, _, Hl, Wl = f_local.shape
         Bg, _, Hg, Wg = f_global.shape
         if Bl != Bg:
@@ -175,9 +164,7 @@ class CraceModule(Module):
         if depth is not None and depth.shape[2:] != (Hl, Wl):
             raise ShapeError("depth feature must match local spatial dims")
         pl = self.proj_local.forward(f_local, training)
-        pg = self.proj_global.forward(
-            upsample(f_global, factor, mode=self.config.upsample_mode), training
-        )
+        pg = self.proj_global.forward(upsample(f_global, factor), training)
         pd = self.proj_depth.forward(depth, training) if depth is not None else None
         return pl, pg, pd
 
@@ -241,7 +228,7 @@ class CraceModule(Module):
                 branch = pad_bottom_right(x, pad_h, pad_w)
                 branch = downsample_avg(branch, rate)
                 branch = conv.forward(branch)
-                branch = upsample(branch, rate, mode=self.config.upsample_mode)
+                branch = upsample(branch, rate)
                 branch = crop2d(branch, H, W)
             out = branch if out is None else out + branch
         return out

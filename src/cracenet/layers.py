@@ -13,11 +13,15 @@ the copy moves contiguous runs of C values.  The weight, stored
 (O, C, kh, kw), is multiplied as its (O, kh*kw*C) reordering, giving the
 NCHW output directly, and the backward pass adds the column gradient back
 into a channels-last buffer one kernel tap at a time.  The patch matrix is
-kept for the weight gradient.
+kept for the weight gradient.  The input gradient is computed only when the
+input requires one, so the stem convs on the image and depth map skip it.
 
 Train-mode batch norm is one graph node that keeps only the normalized
 input x_hat and the per-channel 1/sqrt(var + eps); its backward is the
 closed form ``gx = gamma*rstd*(g - mean(g) - x_hat*mean(g*x_hat))``.
+
+Upsampling is half-pixel bilinear by an integer factor; average pooling
+by an integer factor is its downsampling counterpart.
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ __all__ = [
     "conv2d",
     "downsample_avg",
     "erode",
-    "global_avg_pool",
     "resize_bilinear_np",
     "resize_nearest_np",
     "upsample",
@@ -190,21 +193,24 @@ def conv2d(x: Tensor, layer: Conv2dLayer) -> Tensor:
         out += b.data[:, None]
 
     parents = (x, w) if b is None else (x, w, b)
+    need_gx = x.requires_grad
 
     def bwd(g):
         gm = g.reshape(B, O, Ho * Wo)
         gw = np.matmul(gm, cols).sum(axis=0).reshape(O, k, k, C).transpose(0, 3, 1, 2)
-        gcols = np.matmul(gm.transpose(0, 2, 1), wmat).reshape(B, Ho, Wo, k, k, C)
-        gxp = np.zeros((B, Hp, Wp, C))
-        for i in range(k):
-            for j in range(k):
-                gxp[
-                    :,
-                    i * d : i * d + (Ho - 1) * s + 1 : s,
-                    j * d : j * d + (Wo - 1) * s + 1 : s,
-                ] += gcols[:, :, :, i, j, :]
-        gx = gxp[:, pad : pad + H, pad : pad + W, :].transpose(0, 3, 1, 2)
-        gx = np.ascontiguousarray(gx)
+        gx = None
+        if need_gx:
+            gcols = np.matmul(gm.transpose(0, 2, 1), wmat).reshape(B, Ho, Wo, k, k, C)
+            gxp = np.zeros((B, Hp, Wp, C))
+            for i in range(k):
+                for j in range(k):
+                    gxp[
+                        :,
+                        i * d : i * d + (Ho - 1) * s + 1 : s,
+                        j * d : j * d + (Wo - 1) * s + 1 : s,
+                    ] += gcols[:, :, :, i, j, :]
+            gx = gxp[:, pad : pad + H, pad : pad + W, :].transpose(0, 3, 1, 2)
+            gx = np.ascontiguousarray(gx)
         if b is None:
             return gx, gw
         return gx, gw, gm.sum(axis=(0, 2))
@@ -222,10 +228,11 @@ def _conv1x1(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
         out += b.data[:, None]
     out = out.reshape(B, O, H, W)
     parents = (x, w) if b is None else (x, w, b)
+    need_gx = x.requires_grad
 
     def bwd(g):
         gm = g.reshape(B, O, H * W)
-        gx = np.matmul(wmat.T, gm).reshape(B, C, H, W)
+        gx = np.matmul(wmat.T, gm).reshape(B, C, H, W) if need_gx else None
         gw = np.matmul(gm, xd.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
         if b is None:
             return gx, gw
@@ -329,8 +336,8 @@ class ConvBnRelu(Module):
 # -- resampling ----------------------------------------------------------
 
 
-# The 1-D grids and matrices depend only on (n_in, n_out, align_corners), so
-# they are built once per size pair and shared read-only by every caller.
+# The 1-D grids and matrices depend only on (n_in, n_out), so they are built
+# once per size pair and shared read-only by every caller.
 
 
 def _read_only(*arrays: np.ndarray):
@@ -340,15 +347,13 @@ def _read_only(*arrays: np.ndarray):
 
 
 @lru_cache(maxsize=256)
-def _interp_grid(n_in: int, n_out: int, align_corners: bool):
-    """Source taps (i0, i1) and blend factor t for 1-D linear resampling."""
+def _interp_grid(n_in: int, n_out: int):
+    """Source taps (i0, i1) and blend factor t for 1-D linear resampling
+    with half-pixel centers."""
     if n_in == 1:
         z = np.zeros(n_out, dtype=np.intp)
         return _read_only(z, z, np.zeros(n_out))
-    if align_corners and n_out > 1:
-        src = np.arange(n_out) * (n_in - 1) / (n_out - 1)
-    else:
-        src = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
+    src = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
     src = np.clip(src, 0.0, n_in - 1.0)
     i0 = np.floor(src).astype(np.intp)
     i0 = np.minimum(i0, n_in - 2)
@@ -357,8 +362,8 @@ def _interp_grid(n_in: int, n_out: int, align_corners: bool):
 
 
 @lru_cache(maxsize=256)
-def _interp_matrix(n_in: int, n_out: int, align_corners: bool) -> np.ndarray:
-    i0, i1, t = _interp_grid(n_in, n_out, align_corners)
+def _interp_matrix(n_in: int, n_out: int) -> np.ndarray:
+    i0, i1, t = _interp_grid(n_in, n_out)
     m = np.zeros((n_out, n_in))
     rows = np.arange(n_out)
     np.add.at(m, (rows, i0), 1.0 - t)
@@ -367,13 +372,9 @@ def _interp_matrix(n_in: int, n_out: int, align_corners: bool) -> np.ndarray:
     return m
 
 
-def upsample(
-    x: Tensor,
-    factor: int,
-    mode: str = "bilinear",
-    align_corners: bool = False,
-) -> Tensor:
-    """Scale spatial dims by an integer factor; constants stay constant."""
+def upsample(x: Tensor, factor: int) -> Tensor:
+    """Bilinear scaling of the spatial dims by an integer factor, with
+    half-pixel centers; constants stay constant."""
     if factor < 1:
         raise ValueError("upsample factor must be >= 1")
     if factor == 1:
@@ -381,17 +382,8 @@ def upsample(
     B, C, H, W = x.shape
     Ho, Wo = H * factor, W * factor
 
-    if mode == "nearest":
-        def bwd_n(g):
-            return (g.reshape(B, C, H, factor, W, factor).sum(axis=(3, 5)),)
-
-        data = np.repeat(np.repeat(x.data, factor, axis=2), factor, axis=3)
-        return make_node(data, (x,), bwd_n)
-    if mode != "bilinear":
-        raise ValueError(f"unknown upsample mode {mode!r}")
-
-    r0, r1, tr = _interp_grid(H, Ho, align_corners)
-    c0, c1, tc = _interp_grid(W, Wo, align_corners)
+    r0, r1, tr = _interp_grid(H, Ho)
+    c0, c1, tc = _interp_grid(W, Wo)
     # a + t*(b - a) keeps constant inputs bit-exact.
     rows = x.data[:, :, r0, :] + tr[None, None, :, None] * (
         x.data[:, :, r1, :] - x.data[:, :, r0, :]
@@ -401,8 +393,8 @@ def upsample(
     )
 
     def bwd(g):
-        wr = _interp_matrix(H, Ho, align_corners)
-        wc = _interp_matrix(W, Wo, align_corners)
+        wr = _interp_matrix(H, Ho)
+        wc = _interp_matrix(W, Wo)
         gz = np.tensordot(g, wc, axes=([3], [0]))          # (B, C, Ho, W)
         gx = np.tensordot(gz, wr, axes=([2], [0]))          # (B, C, W, H)
         return (np.ascontiguousarray(gx.transpose(0, 1, 3, 2)),)
@@ -442,11 +434,6 @@ def downsample_avg(x: Tensor, factor: int) -> Tensor:
     return make_node(np.ascontiguousarray(data), (x,), bwd)
 
 
-def global_avg_pool(x: Tensor) -> Tensor:
-    """Spatial mean per channel, kept as a (B, C, 1, 1) map."""
-    return x.mean(axis=(2, 3), keepdims=True)
-
-
 # -- morphology ----------------------------------------------------------
 
 
@@ -479,8 +466,8 @@ def resize_bilinear_np(arr: np.ndarray, out_hw: tuple[int, int]) -> np.ndarray:
     Ho, Wo = out_hw
     if (H, W) == (Ho, Wo):
         return arr.copy()
-    r0, r1, tr = _interp_grid(H, Ho, False)
-    c0, c1, tc = _interp_grid(W, Wo, False)
+    r0, r1, tr = _interp_grid(H, Ho)
+    c0, c1, tc = _interp_grid(W, Wo)
     rows = arr[..., r0, :] + tr[:, None] * (arr[..., r1, :] - arr[..., r0, :])
     return rows[..., c0] + tc * (rows[..., c1] - rows[..., c0])
 

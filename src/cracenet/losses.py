@@ -18,7 +18,6 @@ from .tensor import Tensor, ShapeError, as_tensor, clip, log
 
 __all__ = [
     "LossConfig",
-    "SupervisionBundle",
     "bce_loss",
     "iou_loss",
     "make_edge_gt",
@@ -41,26 +40,10 @@ class LossConfig:
     use_iou: bool = True
     use_edge: bool = True
     use_multilevel: bool = True
-    edge_radius: int = 1
 
     def __post_init__(self):
         if not (self.use_bce or self.use_iou):
             raise ValueError("at least one of BCE / IoU must stay enabled")
-
-
-@dataclass
-class SupervisionBundle:
-    """Ground truth mask plus its derived boundary band."""
-
-    saliency: np.ndarray
-    edge: np.ndarray
-
-    @staticmethod
-    def from_mask(mask: np.ndarray, radius: int = 1):
-        return SupervisionBundle(
-            saliency=np.asarray(mask, dtype=np.float64),
-            edge=make_edge_gt(mask, radius),
-        )
 
 
 def _pair(pred, target) -> tuple[Tensor, Tensor]:

@@ -9,7 +9,9 @@ it records no graph and evaluates just the level-2 saliency head.
 
 In RGB-D mode a second encoder (same architecture, separate weights,
 native 1-channel stem) provides depth features to the fusion modules
-plus per-level 1x1 depth saliency heads.
+plus per-level 1x1 depth saliency heads.  The network mode is the only
+depth switch: it alone decides whether the fusion modules take a depth
+stream.
 """
 
 from __future__ import annotations
@@ -38,14 +40,11 @@ class ModeError(ValueError):
 @dataclass
 class EncoderConfig:
     widths: tuple[int, int, int, int] = (16, 32, 64, 128)
-    blocks_per_stage: int = 1
 
     def __post_init__(self):
         self.widths = tuple(int(w) for w in self.widths)
         if len(self.widths) != 4:
             raise ValueError("encoder needs exactly 4 stage widths")
-        if self.blocks_per_stage < 1:
-            raise ValueError("blocks_per_stage must be >= 1")
 
 
 @dataclass
@@ -60,8 +59,7 @@ class NetworkConfig:
 
     @staticmethod
     def default(mode: str = "rgb") -> "NetworkConfig":
-        crace = CraceConfig(depth_input=(mode == "rgbd"))
-        return NetworkConfig(EncoderConfig(), crace, mode)
+        return NetworkConfig(EncoderConfig(), CraceConfig(), mode)
 
 
 def _upsample_to(t: Tensor, height: int) -> Tensor:
@@ -93,21 +91,18 @@ class ResidualBlock(Module):
 
 
 class Encoder(Module):
-    """Four residual stages at strides 4/8/16/32 relative to the input."""
+    """Four residual stages, one block each, at strides 4/8/16/32 relative
+    to the input."""
 
     def __init__(self, in_channels: int, config: EncoderConfig, rng):
         self.in_channels = in_channels
         self.config = config
         w = config.widths
         self.stem = ConvBnRelu(in_channels, w[0], 3, stride=2, rng=rng)
-        self.stages: list[list[ResidualBlock]] = []
-        prev = w[0]
-        for width in w:
-            blocks = [ResidualBlock(prev, width, stride=2, rng=rng)]
-            for _ in range(config.blocks_per_stage - 1):
-                blocks.append(ResidualBlock(width, width, stride=1, rng=rng))
-            self.stages.append(blocks)
-            prev = width
+        self.stages = [
+            ResidualBlock(prev, width, stride=2, rng=rng)
+            for prev, width in zip((w[0],) + w[:3], w)
+        ]
 
     def forward(self, x: Tensor, training: bool) -> list[Tensor]:
         B, C, H, W = x.shape
@@ -119,16 +114,13 @@ class Encoder(Module):
             )
         y = self.stem.forward(x, training)
         features = []
-        for blocks in self.stages:
-            for block in blocks:
-                y = block.forward(y, training)
+        for block in self.stages:
+            y = block.forward(y, training)
             features.append(y)
         return features
 
     def _list_items(self, attr: str, items: list):
-        for s, blocks in enumerate(items):
-            for b, block in enumerate(blocks):
-                yield f"stage{s + 2}.block{b}", block
+        return ((f"stage{s + 2}.block0", block) for s, block in enumerate(items))
 
 
 class SodNetwork(Module):
@@ -147,12 +139,11 @@ class SodNetwork(Module):
         else:
             self.depth_encoder = None
 
-        self.top_proj = ConvBnRelu(w[3], n, config.crace.proj_kernel, rng=rng)
+        self.top_proj = ConvBnRelu(w[3], n, 3, rng=rng)
 
         def module_for(level: int) -> CraceModule:
-            cfg = config.crace
-            in_depth = w[level - 2] if cfg.depth_input else None
-            return CraceModule(w[level - 2], n, cfg, rng=rng, in_depth=in_depth)
+            in_depth = w[level - 2] if self.mode == "rgbd" else None
+            return CraceModule(w[level - 2], n, config.crace, rng=rng, in_depth=in_depth)
 
         # Context flows deep to shallow through exactly three fusion modules.
         self.crace4 = module_for(4)
@@ -186,15 +177,9 @@ class SodNetwork(Module):
     ) -> list[Tensor]:
         """[f2..f5] (+ [d2..d5]) -> [F2..F5], deep to shallow."""
         f2, f3, f4, f5 = features
-        use_depth = self.config.crace.depth_input
-        if use_depth:
-            if depth_features is None:
-                raise ModeError("depth features required when depth_input is enabled")
-            d2, d3, d4, _ = depth_features
-        else:
-            if depth_features is not None and self.mode == "rgb":
-                raise ModeError("RGB-mode network does not accept depth features")
-            d2 = d3 = d4 = None
+        if (depth_features is not None) != (self.mode == "rgbd"):
+            raise ModeError("depth features must be given in rgbd mode and only there")
+        d2, d3, d4, _ = depth_features or (None,) * 4
         top = self.top_proj.forward(f5, training)
         m4 = self.crace4.forward(f4, top, d4, training)
         m3 = self.crace3.forward(f3, m4, d3, training)
@@ -231,8 +216,7 @@ class SodNetwork(Module):
                 raise ModeError("RGB-D network requires a depth map")
             depth_features = self.encode_depth(depth, training)
         features = self.encode(image, training)
-        pass_depth = depth_features if self.config.crace.depth_input else None
-        return self.context_flow(features, pass_depth, training), depth_features
+        return self.context_flow(features, depth_features, training), depth_features
 
     def forward(
         self,

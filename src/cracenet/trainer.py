@@ -256,12 +256,44 @@ def config_snapshot(
     }
 
 
+def _retired_fields(mode: str) -> dict:
+    """Config fields that older snapshots hold and the code now fixes, each
+    with the only value it may have been saved with."""
+    return {
+        "network.crace.depth_input": mode == "rgbd",
+        "network.crace.proj_kernel": 3,
+        "network.crace.upsample_mode": "bilinear",
+        "network.crace.branches": None,
+        "network.encoder.blocks_per_stage": 1,
+        "loss.edge_radius": 1,
+    }
+
+
 def configs_from_snapshot(snapshot: dict):
+    """The configs of a checkpoint snapshot.  A retired field is dropped if
+    it holds its fixed value; any other value raises ``ValueError``."""
     net = snapshot["network"]
+    sections = {
+        "network.crace": dict(net["crace"]),
+        "network.encoder": dict(net["encoder"]),
+        "loss": dict(snapshot["loss"]),
+    }
+    for name, fixed in _retired_fields(net["mode"]).items():
+        section, key = name.rsplit(".", 1)
+        if key in sections[section]:
+            saved = sections[section].pop(key)
+            if saved != fixed:
+                raise ValueError(
+                    f"checkpoint config {name} is {saved!r}; the code fixes it at {fixed!r}"
+                )
     return (
         TrainConfig(**snapshot["train"]),
-        NetworkConfig(EncoderConfig(**net["encoder"]), CraceConfig(**net["crace"]), net["mode"]),
-        LossConfig(**snapshot["loss"]),
+        NetworkConfig(
+            EncoderConfig(**sections["network.encoder"]),
+            CraceConfig(**sections["network.crace"]),
+            net["mode"],
+        ),
+        LossConfig(**sections["loss"]),
     )
 
 
@@ -390,7 +422,7 @@ def train(
             img, gt, dep = augment(samples[int(i)], cfg, rng_k, (side, side))
             images.append(img)
             gts.append(gt)
-            edges.append(make_edge_gt(gt, loss_cfg.edge_radius))
+            edges.append(make_edge_gt(gt))
             if cfg.mode == "rgbd":
                 depths.append(dep)
         image_t = Tensor(np.stack(images))
@@ -539,8 +571,7 @@ def run_ablation(
             continue
         mode = mode_over or cfg.mode
         row_cfg = replace(cfg, mode=mode)
-        crace = replace(net_cfg.crace, depth_input=(mode == "rgbd"), **blocks)
-        row_net = NetworkConfig(net_cfg.encoder, crace, mode)
+        row_net = NetworkConfig(net_cfg.encoder, replace(net_cfg.crace, **blocks), mode)
         row_loss = LossConfig(**loss_over)
         if verbose:
             print(f"[ablation] {name}", flush=True)

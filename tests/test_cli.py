@@ -78,9 +78,14 @@ class TestBuildConfigs:
         with pytest.raises(ConfigFileError):
             build_configs({"learning_rate": "0.1"})
 
-    def test_rgbd_mode_enables_depth_input(self):
-        _, net_cfg, _ = build_configs({"mode": "rgbd"})
-        assert net_cfg.crace.depth_input is True
+    @pytest.mark.parametrize(
+        "key, value",
+        [("depth_input", "true"), ("proj_kernel", "3"), ("upsample_mode", "bilinear"),
+         ("branches", "1,1"), ("blocks_per_stage", "1"), ("edge_radius", "1")],
+    )
+    def test_retired_keys_are_unknown(self, key, value):
+        with pytest.raises(ConfigFileError, match=f"unknown config key '{key}'"):
+            build_configs({key: value})
 
     @pytest.mark.parametrize(
         "name, value",

@@ -28,10 +28,6 @@ class TestConfig:
         cfg = CraceConfig()
         assert cfg.branch_plan() == ((1, 1), (2, 1), (4, 4), (8, 6))
 
-    def test_explicit_branches_override(self):
-        cfg = CraceConfig(branches=((1, 1), (3, 2)))
-        assert cfg.branch_plan() == ((1, 1), (3, 2))
-
     def test_unpairable_raises(self):
         with pytest.raises(ConfigError):
             CraceConfig(sampling_rates=(1, 2, 4), dilation_rates=(1,)).branch_plan()
@@ -76,14 +72,15 @@ class TestCrossAttention:
 
     def test_depth_against_config(self):
         m = CraceModule(3, 4, tiny_cfg(), rng=np.random.default_rng(4))
+        assert m.proj_depth is None
         with pytest.raises(ConfigError):
             m.cross_attention(rand((1, 3, 8, 8)), rand((1, 4, 4, 4)), rand((1, 3, 8, 8)))
-        m3 = CraceModule(3, 4, tiny_cfg(depth_input=True), rng=np.random.default_rng(4), in_depth=3)
+        m3 = CraceModule(3, 4, tiny_cfg(), rng=np.random.default_rng(4), in_depth=3)
         with pytest.raises(ConfigError):
             m3.cross_attention(rand((1, 3, 8, 8)), rand((1, 4, 4, 4)))
 
     def test_three_stream_concat_width(self):
-        cfg = tiny_cfg(depth_input=True)
+        cfg = tiny_cfg()
         m = CraceModule(3, 4, cfg, rng=np.random.default_rng(5), in_depth=2)
         out = m.cross_attention(rand((1, 3, 8, 8)), rand((1, 4, 4, 4)), rand((1, 2, 8, 8)))
         assert out.shape == (1, 3 * cfg.n, 8, 8)
@@ -200,9 +197,8 @@ class TestFullModule:
             assert m.forward(f_l, f_g).shape == (2, cfg.n, 8, 8)
 
     def test_depth_fallback_matches_two_input_path(self):
-        # depth_input off: the three-input network path reduces to the
-        # two-input one for identical RGB inputs and parameters
-        cfg = tiny_cfg(depth_input=False)
+        # without in_depth, passing depth=None is the two-input path
+        cfg = tiny_cfg()
         m = CraceModule(3, 4, cfg, rng=np.random.default_rng(18))
         f_l, f_g = rand((1, 3, 8, 8)), rand((1, 4, 4, 4), 1)
         assert np.array_equal(

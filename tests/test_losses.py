@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from cracenet.losses import (
     LossConfig,
-    SupervisionBundle,
     bce_loss,
     iou_loss,
     make_edge_gt,
@@ -117,13 +116,6 @@ class TestEdgeGt:
 
         assert np.array_equal(erode(band, 1), np.zeros((6, 6)))
         assert np.array_equal(make_edge_gt(band, 1), band)
-
-    def test_bundle(self):
-        mask = np.zeros((8, 8))
-        mask[2:6, 2:6] = 1.0
-        bundle = SupervisionBundle.from_mask(mask)
-        assert np.all(bundle.edge <= bundle.saliency)
-        assert set(np.unique(bundle.edge)) <= {0.0, 1.0}
 
 
 class TestMultilevel:

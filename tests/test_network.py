@@ -17,12 +17,10 @@ from cracenet.network import (
 from cracenet.tensor import ShapeError, Tensor, backward, sigmoid, zero_grads
 
 
-def small_net(mode="rgb", depth_input=None, seed=0):
-    if depth_input is None:
-        depth_input = mode == "rgbd"
+def small_net(mode="rgb", seed=0):
     cfg = NetworkConfig(
         EncoderConfig(widths=(4, 8, 12, 16)),
-        CraceConfig(n=8, sampling_rates=(1, 2), dilation_rates=(1, 2), depth_input=depth_input),
+        CraceConfig(n=8, sampling_rates=(1, 2), dilation_rates=(1, 2)),
         mode,
     )
     return SodNetwork(cfg, seed=seed)
@@ -78,20 +76,18 @@ class TestContextFlow:
             assert refined_map.shape[2:] == feat.shape[2:]
             assert refined_map.shape[1] == net.config.crace.n
 
-    def test_depth_toggle_off_matches_rgb_path(self):
-        rgb = small_net("rgb", seed=9)
-        rgbd = small_net("rgbd", depth_input=False, seed=9)
-        # graft the RGB network's shared parameters onto the RGB-D one
-        rgb_params = dict(rgb.parameters())
-        for name, param in rgbd.parameters():
-            if name in rgb_params:
-                param.data = rgb_params[name].data.copy()
-        img = rand_image(seed=11)
-        depth = Tensor(np.random.default_rng(12).uniform(size=(1, 1, 64, 64)))
-        out_rgb = rgb.forward(img)
-        out_rgbd = rgbd.forward(img, depth)
-        for a, b in zip(out_rgb["saliency_logits"], out_rgbd["saliency_logits"]):
-            assert np.array_equal(a.data, b.data)
+    def test_mode_alone_decides_the_depth_streams(self):
+        rgb, rgbd = small_net("rgb"), small_net("rgbd")
+        for level in (2, 3, 4):
+            assert getattr(rgb, f"crace{level}").proj_depth is None
+            assert getattr(rgbd, f"crace{level}").proj_depth is not None
+        with pytest.raises(TypeError):
+            CraceConfig(depth_input=True)
+        feats = rgb.encode(rand_image())
+        with pytest.raises(ModeError):
+            rgb.context_flow(feats, feats)
+        with pytest.raises(ModeError):
+            rgbd.context_flow(feats)
 
 
 class TestPredict:
@@ -131,17 +127,16 @@ class TestInfer:
     @settings(max_examples=40, deadline=None)
     @given(
         mode=st.sampled_from(["rgb", "rgbd"]),
-        toggles=st.lists(st.booleans(), min_size=5, max_size=5),
+        toggles=st.lists(st.booleans(), min_size=4, max_size=4),
         side=st.sampled_from([32, 64, 96]),
         seed=st.integers(0, 2**16),
     )
     def test_equals_the_recorded_forward(self, mode, toggles, side, seed):
-        ca, cha, ms, af, depth_input = toggles
+        ca, cha, ms, af = toggles
         crace = CraceConfig(
             n=8, sampling_rates=(1, 2), dilation_rates=(1, 2),
             enable_cross_attention=ca, enable_channel_attention=cha,
             enable_multiscale=ms, enable_attentive_fusion=af,
-            depth_input=mode == "rgbd" and depth_input,
         )
         net = SodNetwork(NetworkConfig(EncoderConfig(widths=(4, 8, 12, 16)), crace, mode), seed)
         rng = np.random.default_rng(seed)

@@ -1,8 +1,10 @@
+import copy
+
 import numpy as np
 import pytest
 
 from cracenet.crace import CraceConfig
-from cracenet.data import gen_synthetic, load_checkpoint, load_dataset
+from cracenet.data import gen_synthetic, load_checkpoint, load_dataset, save_checkpoint
 from cracenet.losses import LossConfig
 from cracenet.network import EncoderConfig, NetworkConfig
 from cracenet.tensor import Tensor
@@ -13,6 +15,7 @@ from cracenet.trainer import (
     TrainConfig,
     augment,
     build_model_from_checkpoint,
+    config_snapshot,
     evaluate_model,
     flip_horizontal,
     format_ablation_table,
@@ -29,8 +32,7 @@ from cracenet.trainer import (
 def tiny_net_cfg(mode="rgb"):
     return NetworkConfig(
         EncoderConfig(widths=(4, 8, 12, 16)),
-        CraceConfig(n=8, sampling_rates=(1, 2), dilation_rates=(1, 2),
-                    depth_input=(mode == "rgbd")),
+        CraceConfig(n=8, sampling_rates=(1, 2), dilation_rates=(1, 2)),
         mode,
     )
 
@@ -291,6 +293,56 @@ class TestTrainLoop:
     def test_mode_mismatch_rejected(self, dataset):
         with pytest.raises(ValueError):
             train(dataset, tiny_train_cfg(mode="rgbd"), tiny_net_cfg("rgb"))
+
+
+def with_retired_fields(snapshot: dict, **overrides) -> dict:
+    """A snapshot as versions that still had the six retired config fields
+    saved it, each at the value the code now fixes unless overridden."""
+    old = copy.deepcopy(snapshot)
+    net = old["network"]
+    net["crace"].update(depth_input=net["mode"] == "rgbd", proj_kernel=3,
+                        upsample_mode="bilinear", branches=None)
+    net["encoder"]["blocks_per_stage"] = 1
+    old["loss"]["edge_radius"] = 1
+    for key, value in overrides.items():
+        section = next(d for d in (net["crace"], net["encoder"], old["loss"]) if key in d)
+        section[key] = value
+    return old
+
+
+class TestOlderCheckpoints:
+    @pytest.mark.parametrize("mode", ["rgb", "rgbd"])
+    def test_load_and_resume_bit_identically(self, dataset, tmp_path, mode):
+        cfg = tiny_train_cfg(mode=mode)
+        train(dataset, cfg, tiny_net_cfg(mode), out_dir=tmp_path / "run")
+        new = tmp_path / "run/checkpoint_step000003.ckpt"
+        snapshot, arrays = load_checkpoint(new)
+        old = tmp_path / "old.ckpt"
+        save_checkpoint(old, with_retired_fields(snapshot), arrays)
+
+        model, train_cfg, net_cfg, loss_cfg = build_model_from_checkpoint(old)
+        assert (train_cfg, net_cfg, loss_cfg) == (cfg, tiny_net_cfg(mode), LossConfig())
+        exported = model.export_arrays()
+        assert all(exported[k].tobytes() == arrays[k].tobytes() for k in exported)
+
+        runs = {}
+        for name, ckpt in (("new", new), ("old", old)):
+            out = tmp_path / f"resumed_{name}"
+            result = train(dataset, cfg, tiny_net_cfg(mode), out_dir=out, resume=ckpt)
+            runs[name] = (result.log_rows, (out / "checkpoint.ckpt").read_bytes())
+        assert runs["old"] == runs["new"]
+
+    @pytest.mark.parametrize(
+        "mode, key, value, fixed",
+        [("rgb", "proj_kernel", 5, 3), ("rgbd", "depth_input", False, True),
+         ("rgb", "depth_input", True, False), ("rgb", "edge_radius", 2, 1)],
+    )
+    def test_other_retired_values_are_refused(self, tmp_path, mode, key, value, fixed):
+        snapshot = config_snapshot(0, tiny_train_cfg(mode=mode), tiny_net_cfg(mode), LossConfig())
+        ckpt = tmp_path / "old.ckpt"
+        save_checkpoint(ckpt, with_retired_fields(snapshot, **{key: value}), {})
+        with pytest.raises(ValueError, match=rf"{key} is {value!r}; the code fixes it at {fixed!r}"):
+            build_model_from_checkpoint(ckpt)
 
 
 class TestEvalHelpers:
