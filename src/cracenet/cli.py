@@ -16,7 +16,6 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .crace import CraceConfig
 from .data import (
     ConfigFileError,
     Sample,
@@ -28,13 +27,12 @@ from .data import (
     save_gray,
 )
 from .layers import resize_bilinear_np
-from .losses import LossConfig
 from .metrics import evaluate_dataset
-from .network import EncoderConfig, NetworkConfig
 from .trainer import (
-    TrainConfig,
+    CONFIG_FIELDS,
     _save_level_maps,
     build_model_from_checkpoint,
+    configs_from_fields,
     predict_maps,
     train,
 )
@@ -58,14 +56,6 @@ def _parse_bool(v: str) -> bool:
     raise ConfigFileError(f"expected a boolean, got {v!r}")
 
 
-def _parse_int_tuple(v: str) -> tuple[int, ...]:
-    return tuple(int(part.strip()) for part in v.split(",") if part.strip())
-
-
-_CONFIG_CLASSES = (TrainConfig, LossConfig, CraceConfig, EncoderConfig)
-_FIELD_TYPES = {cls: get_type_hints(cls) for cls in _CONFIG_CLASSES}
-
-
 def _parse_value(text: str, kind):
     """One config value parsed by its dataclass field type."""
     if type(None) in get_args(kind):  # X | None: parse as X
@@ -73,7 +63,7 @@ def _parse_value(text: str, kind):
     if kind is bool:
         return _parse_bool(text)
     if get_origin(kind) is tuple:  # tuple[int, ...]
-        return _parse_int_tuple(text)
+        return tuple(int(part) for part in text.split(",") if part.strip())
     return kind(text)  # int, float or str
 
 
@@ -83,19 +73,14 @@ def build_configs(raw: dict[str, str]):
     String values are parsed by the type of the dataclass field they name;
     other values pass through.  Unknown keys are errors, not warnings.
     """
-    kwargs = {cls: {} for cls in _CONFIG_CLASSES}
+    values = {}
     for key, value in raw.items():
-        cls = next((c for c in _CONFIG_CLASSES if key in _FIELD_TYPES[c]), None)
-        if cls is None:
+        if key not in CONFIG_FIELDS:
             raise ConfigFileError(f"unknown config key {key!r}")
         if isinstance(value, str):
-            value = _parse_value(value, _FIELD_TYPES[cls][key])
-        kwargs[cls][key] = value
-    train_cfg = TrainConfig(**kwargs[TrainConfig])
-    net_cfg = NetworkConfig(
-        EncoderConfig(**kwargs[EncoderConfig]), CraceConfig(**kwargs[CraceConfig]), train_cfg.mode
-    )
-    return train_cfg, net_cfg, LossConfig(**kwargs[LossConfig])
+            value = _parse_value(value, get_type_hints(CONFIG_FIELDS[key])[key])
+        values[key] = value
+    return configs_from_fields(values)
 
 
 # -- subcommands ------------------------------------------------------------------

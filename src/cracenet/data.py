@@ -171,9 +171,12 @@ def load_dataset(root, with_depth: bool = False) -> list[Sample]:
 # -- synthetic scenes -----------------------------------------------------------
 
 
-def _coverage_grid(size: int, oversample: int = 4):
-    n = size * oversample
-    coords = (np.arange(n) + 0.5) / oversample  # pixel coordinates
+_OVERSAMPLE = 4  # coverage samples per pixel side
+
+
+def _coverage_grid(size: int):
+    n = size * _OVERSAMPLE
+    coords = (np.arange(n) + 0.5) / _OVERSAMPLE  # pixel coordinates
     return np.meshgrid(coords, coords, indexing="ij")
 
 
@@ -206,12 +209,8 @@ def _shape_mask(kind: str, size: int, rng: np.random.Generator, yy, xx) -> np.nd
     return inside
 
 
-def _downsample_coverage(mask: np.ndarray, size: int, oversample: int = 4) -> np.ndarray:
-    return (
-        mask.astype(np.float64)
-        .reshape(size, oversample, size, oversample)
-        .mean(axis=(1, 3))
-    )
+def _downsample_coverage(mask: np.ndarray, size: int) -> np.ndarray:
+    return mask.astype(np.float64).reshape(size, _OVERSAMPLE, size, _OVERSAMPLE).mean(axis=(1, 3))
 
 
 def _textured_background(size: int, rng: np.random.Generator) -> np.ndarray:

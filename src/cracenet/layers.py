@@ -38,6 +38,7 @@ __all__ = [
     "ConvBnRelu",
     "DegenerateStatisticsError",
     "Module",
+    "check_arrays",
     "conv2d",
     "downsample_avg",
     "erode",
@@ -111,20 +112,25 @@ class Module:
         ``KeyError`` or ``ShapeError`` leaves the module unchanged.
         """
         members = list(self._members())
-        for name, _, _, value in members:
-            if name not in arrays:
-                raise KeyError(f"checkpoint missing {name!r}")
-            if arrays[name].shape != value.shape:
-                raise ShapeError(
-                    f"{name!r}: checkpoint shape {arrays[name].shape} "
-                    f"!= model shape {value.shape}"
-                )
+        check_arrays(arrays, {name: value.shape for name, _, _, value in members})
         for name, owner, attr, value in members:
             loaded = np.array(arrays[name], dtype=np.float64, order="C")
             if isinstance(value, Tensor):
                 value.data = loaded
             else:
                 setattr(owner, attr, loaded)
+
+
+def check_arrays(arrays: dict[str, np.ndarray], shapes: dict[str, tuple]) -> None:
+    """``KeyError`` for a name in ``shapes`` that ``arrays`` lacks,
+    ``ShapeError`` for an array whose shape differs."""
+    for name, shape in shapes.items():
+        if name not in arrays:
+            raise KeyError(f"checkpoint missing {name!r}")
+        if arrays[name].shape != shape:
+            raise ShapeError(
+                f"{name!r}: checkpoint shape {arrays[name].shape} != model shape {shape}"
+            )
 
 
 class Conv2dLayer(Module):
@@ -250,10 +256,11 @@ class BatchNormLayer(Module):
     records one graph node.
     """
 
-    def __init__(self, channels: int, epsilon: float = 1e-5, momentum: float = 0.1):
+    epsilon = 1e-5
+    momentum = 0.1
+
+    def __init__(self, channels: int):
         self.channels = channels
-        self.epsilon = epsilon
-        self.momentum = momentum
         self.gamma = Tensor(np.ones(channels), requires_grad=True)
         self.beta = Tensor(np.zeros(channels), requires_grad=True)
         self.running_mean = np.zeros(channels)
@@ -382,15 +389,7 @@ def upsample(x: Tensor, factor: int) -> Tensor:
     B, C, H, W = x.shape
     Ho, Wo = H * factor, W * factor
 
-    r0, r1, tr = _interp_grid(H, Ho)
-    c0, c1, tc = _interp_grid(W, Wo)
-    # a + t*(b - a) keeps constant inputs bit-exact.
-    rows = x.data[:, :, r0, :] + tr[None, None, :, None] * (
-        x.data[:, :, r1, :] - x.data[:, :, r0, :]
-    )
-    data = rows[:, :, :, c0] + tc[None, None, None, :] * (
-        rows[:, :, :, c1] - rows[:, :, :, c0]
-    )
+    data = resize_bilinear_np(x.data, (Ho, Wo))
 
     def bwd(g):
         wr = _interp_matrix(H, Ho)
@@ -468,6 +467,7 @@ def resize_bilinear_np(arr: np.ndarray, out_hw: tuple[int, int]) -> np.ndarray:
         return arr.copy()
     r0, r1, tr = _interp_grid(H, Ho)
     c0, c1, tc = _interp_grid(W, Wo)
+    # a + t*(b - a) keeps constant inputs bit-exact.
     rows = arr[..., r0, :] + tr[:, None] * (arr[..., r1, :] - arr[..., r0, :])
     return rows[..., c0] + tc * (rows[..., c1] - rows[..., c0])
 

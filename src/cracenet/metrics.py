@@ -23,7 +23,8 @@ Conventions (documented because the literature varies):
 
 All functions take equally long lists of float maps in [0, 1] and binary
 masks (bool, integer or float) of the same shapes; each list pair is
-checked once and converted to float64.
+checked once and converted to float64.  A non-finite or out-of-range
+prediction, or a mask value other than 0 and 1, raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -102,7 +103,8 @@ class MetricReport:
 
 
 def _checked_pairs(preds, gts) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Float64 (pred, gt) pairs after the empty, count and shape checks."""
+    """Float64 (pred, gt) pairs after the empty, count, shape and value
+    checks."""
     if len(preds) == 0:
         raise ValueError("empty dataset")
     if len(preds) != len(gts):
@@ -111,9 +113,13 @@ def _checked_pairs(preds, gts) -> list[tuple[np.ndarray, np.ndarray]]:
         (np.asarray(p, dtype=np.float64), np.asarray(g, dtype=np.float64))
         for p, g in zip(preds, gts)
     ]
-    for p, g in pairs:
+    for i, (p, g) in enumerate(pairs):
         if p.shape != g.shape:
             raise ValueError(f"shape mismatch: pred {p.shape} vs gt {g.shape}")
+        if not np.all((p >= 0.0) & (p <= 1.0)):
+            raise ValueError(f"prediction {i} has values that are not finite or not in [0, 1]")
+        if not np.all((g == 0.0) | (g == 1.0)):
+            raise ValueError(f"ground truth {i} has values other than 0 and 1")
     return pairs
 
 

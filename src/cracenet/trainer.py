@@ -14,14 +14,14 @@ exactly from a checkpoint.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, asdict, replace
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .crace import CraceConfig
 from .data import Sample, load_checkpoint, save_checkpoint, save_gray
-from .layers import resize_bilinear_np, resize_nearest_np
+from .layers import check_arrays, resize_bilinear_np, resize_nearest_np
 from .losses import (
     LossConfig,
     bce_loss,
@@ -38,6 +38,7 @@ from .tensor import Tensor, backward, no_grad, sigmoid, zero_grads
 
 __all__ = [
     "ABLATION_SCHEDULE",
+    "CONFIG_FIELDS",
     "DivergenceError",
     "ResumeMismatchError",
     "TrainConfig",
@@ -45,6 +46,7 @@ __all__ = [
     "augment",
     "build_model_from_checkpoint",
     "config_snapshot",
+    "configs_from_fields",
     "evaluate_model",
     "flip_horizontal",
     "format_ablation_table",
@@ -256,45 +258,60 @@ def config_snapshot(
     }
 
 
+_CONFIG_CLASSES = (TrainConfig, LossConfig, CraceConfig, EncoderConfig)
+CONFIG_FIELDS = {f.name: cls for cls in _CONFIG_CLASSES for f in fields(cls)}
+
+
+def configs_from_fields(values: dict) -> tuple[TrainConfig, NetworkConfig, LossConfig]:
+    """Flat field values -> (TrainConfig, NetworkConfig, LossConfig).
+
+    Each key goes to the config class that declares it and fields not given
+    keep their defaults; the network takes the train mode.  An unknown key
+    raises ``ValueError``.
+    """
+    kwargs = {cls: {} for cls in _CONFIG_CLASSES}
+    for key, value in values.items():
+        if key not in CONFIG_FIELDS:
+            raise ValueError(f"unknown config key {key!r}")
+        kwargs[CONFIG_FIELDS[key]][key] = value
+    train_cfg = TrainConfig(**kwargs[TrainConfig])
+    net_cfg = NetworkConfig(
+        EncoderConfig(**kwargs[EncoderConfig]), CraceConfig(**kwargs[CraceConfig]), train_cfg.mode
+    )
+    return train_cfg, net_cfg, LossConfig(**kwargs[LossConfig])
+
+
 def _retired_fields(mode: str) -> dict:
     """Config fields that older snapshots hold and the code now fixes, each
     with the only value it may have been saved with."""
     return {
-        "network.crace.depth_input": mode == "rgbd",
-        "network.crace.proj_kernel": 3,
-        "network.crace.upsample_mode": "bilinear",
-        "network.crace.branches": None,
-        "network.encoder.blocks_per_stage": 1,
-        "loss.edge_radius": 1,
+        "depth_input": mode == "rgbd",
+        "proj_kernel": 3,
+        "upsample_mode": "bilinear",
+        "branches": None,
+        "blocks_per_stage": 1,
+        "edge_radius": 1,
     }
 
 
 def configs_from_snapshot(snapshot: dict):
     """The configs of a checkpoint snapshot.  A retired field is dropped if
-    it holds its fixed value; any other value raises ``ValueError``."""
+    it holds its fixed value; any other value, or a network mode unlike the
+    train mode, raises ``ValueError``."""
     net = snapshot["network"]
-    sections = {
-        "network.crace": dict(net["crace"]),
-        "network.encoder": dict(net["encoder"]),
-        "loss": dict(snapshot["loss"]),
-    }
-    for name, fixed in _retired_fields(net["mode"]).items():
-        section, key = name.rsplit(".", 1)
-        if key in sections[section]:
-            saved = sections[section].pop(key)
-            if saved != fixed:
-                raise ValueError(
-                    f"checkpoint config {name} is {saved!r}; the code fixes it at {fixed!r}"
-                )
-    return (
-        TrainConfig(**snapshot["train"]),
-        NetworkConfig(
-            EncoderConfig(**sections["network.encoder"]),
-            CraceConfig(**sections["network.crace"]),
-            net["mode"],
-        ),
-        LossConfig(**sections["loss"]),
-    )
+    if net["mode"] != snapshot["train"]["mode"]:
+        raise ValueError(
+            f"checkpoint network mode {net['mode']!r} differs from train mode "
+            f"{snapshot['train']['mode']!r}"
+        )
+    values = {**snapshot["train"], **snapshot["loss"], **net["encoder"], **net["crace"]}
+    for key, fixed in _retired_fields(net["mode"]).items():
+        saved = values.pop(key, fixed)
+        if saved != fixed:
+            raise ValueError(
+                f"checkpoint config {key} is {saved!r}; the code fixes it at {fixed!r}"
+            )
+    return configs_from_fields(values)
 
 
 def _flat_fields(tree: dict, prefix: str = ""):
@@ -377,6 +394,7 @@ def train(
     if resume is not None:
         snapshot, arrays = load_checkpoint(resume)
         _check_resume_configs(snapshot, cfg, net_cfg, loss_cfg)
+        check_arrays(arrays, {"optim/" + name: v.shape for name, v in velocities.items()})
         model.load_arrays(arrays)
         for name in velocities:
             velocities[name] = arrays["optim/" + name].copy()
@@ -525,26 +543,23 @@ def _save_level_maps(model: SodNetwork, s: Sample, out_dir: Path) -> None:
 # -- ablation harness -----------------------------------------------------------------
 
 
-def _blocks(ca=False, cha=False, ms=False, af=False) -> dict:
-    return {
-        "enable_cross_attention": ca,
-        "enable_channel_attention": cha,
-        "enable_multiscale": ms,
-        "enable_attentive_fusion": af,
-    }
+def _first_blocks(k: int) -> dict:
+    """Overrides that switch on the first ``k`` CRACE blocks and the rest off."""
+    blocks = ("cross_attention", "channel_attention", "multiscale", "attentive_fusion")
+    return {f"enable_{block}": i < k for i, block in enumerate(blocks)}
 
 
-ABLATION_SCHEDULE: list[tuple[str, dict, dict, str | None]] = [
-    ("baseline", _blocks(), {}, None),
-    ("+CA", _blocks(ca=True), {}, None),
-    ("+CA+ChA", _blocks(ca=True, cha=True), {}, None),
-    ("+CA+ChA+MS", _blocks(ca=True, cha=True, ms=True), {}, None),
-    ("w/o Depth", _blocks(ca=True, cha=True, ms=True, af=True), {}, "rgb"),
-    ("w/o Edge", _blocks(ca=True, cha=True, ms=True, af=True), {"use_edge": False}, None),
-    ("w/o BCE", _blocks(ca=True, cha=True, ms=True, af=True), {"use_bce": False}, None),
-    ("w/o IoU", _blocks(ca=True, cha=True, ms=True, af=True), {"use_iou": False}, None),
-    ("w/o MLS", _blocks(ca=True, cha=True, ms=True, af=True), {"use_multilevel": False}, None),
-    ("full", _blocks(ca=True, cha=True, ms=True, af=True), {}, None),
+ABLATION_SCHEDULE: list[tuple[str, dict]] = [
+    ("baseline", _first_blocks(0)),
+    ("+CA", _first_blocks(1)),
+    ("+CA+ChA", _first_blocks(2)),
+    ("+CA+ChA+MS", _first_blocks(3)),
+    ("w/o Depth", {**_first_blocks(4), "mode": "rgb"}),
+    ("w/o Edge", {**_first_blocks(4), "use_edge": False}),
+    ("w/o BCE", {**_first_blocks(4), "use_bce": False}),
+    ("w/o IoU", {**_first_blocks(4), "use_iou": False}),
+    ("w/o MLS", {**_first_blocks(4), "use_multilevel": False}),
+    ("full", _first_blocks(4)),
 ]
 
 
@@ -558,24 +573,23 @@ def run_ablation(
 ) -> dict[str, MetricReport]:
     """Train and evaluate every ablation row from one config matrix.
 
-    The "w/o Depth" row only applies in rgbd mode; it retrains the model
-    as a pure RGB network on the same images.
+    A row is (name, config field overrides); the overrides apply on top of
+    ``cfg``, the encoder and CRACE fields of ``net_cfg`` and the default
+    loss config.  The "w/o Depth" row only applies in rgbd mode; it
+    retrains the model as a pure RGB network on the same images.
     """
     net_cfg = net_cfg or NetworkConfig.default(cfg.mode)
     eval_samples = eval_samples or samples
+    base = {**asdict(cfg), **asdict(net_cfg.encoder), **asdict(net_cfg.crace)}
     results: dict[str, MetricReport] = {}
-    for name, blocks, loss_over, mode_over in ABLATION_SCHEDULE:
+    for name, overrides in ABLATION_SCHEDULE:
         if rows is not None and name not in rows:
             continue
         if name == "w/o Depth" and cfg.mode != "rgbd":
             continue
-        mode = mode_over or cfg.mode
-        row_cfg = replace(cfg, mode=mode)
-        row_net = NetworkConfig(net_cfg.encoder, replace(net_cfg.crace, **blocks), mode)
-        row_loss = LossConfig(**loss_over)
         if verbose:
             print(f"[ablation] {name}", flush=True)
-        result = train(samples, row_cfg, row_net, row_loss)
+        result = train(samples, *configs_from_fields({**base, **overrides}))
         results[name] = evaluate_model(result.model, eval_samples)
     return results
 

@@ -373,6 +373,20 @@ class TestDownsample:
         x = t(rng.normal(size=(1, 2, 4, 4)), grad=True)
         check_gradients(lambda: (downsample_avg(x, 2) ** 2.0).sum(), [x], rng=rng)
 
+    def test_factor_three_is_the_window_mean(self):
+        # 3 is not a power of two, so it takes the plain-mean branch.
+        rng = np.random.default_rng(42)
+        x = t(rng.uniform(size=(2, 3, 6, 9)), grad=True)
+        got = downsample_avg(x, 3).data
+        want = np.zeros((2, 3, 2, 3))
+        for i in range(2):
+            for j in range(3):
+                window = x.data[:, :, 3 * i : 3 * i + 3, 3 * j : 3 * j + 3]
+                want[:, :, i, j] = window.mean(axis=(2, 3))
+        assert np.allclose(got, want, rtol=0.0, atol=1e-15)
+        assert abs(got.mean() - x.data.mean()) < 1e-12
+        check_gradients(lambda: (downsample_avg(x, 3) ** 2.0).sum(), [x], rng=rng)
+
 
 class TestErode:
     def test_all_zeros(self):

@@ -311,6 +311,32 @@ class TestInputCheck:
         with pytest.raises(ValueError):
             LIST_METRICS[name](preds, gts)
 
+    @pytest.mark.parametrize(
+        "case",
+        ["pred_above_one", "pred_below_zero", "pred_nan", "pred_inf", "gt_fraction", "gt_two"],
+    )
+    @pytest.mark.parametrize("name", sorted(LIST_METRICS))
+    def test_values_outside_the_contract_are_errors(self, name, case):
+        pairs = [toy_pair(s, 6) for s in (107, 108)]
+        preds = [p for p, _ in pairs]
+        gts = [g for _, g in pairs]
+        kind, what = case.split("_", 1)
+        bad = {"above_one": 2.0, "below_zero": -0.1, "nan": np.nan, "inf": np.inf,
+               "fraction": 0.6, "two": 2.0}[what]
+        if kind == "pred":
+            preds[1] = np.where(gts[1] == 1, bad, preds[1])
+        else:
+            gts[1] = np.where(gts[1] == 1, bad, gts[1])
+        match = "prediction 1" if kind == "pred" else "ground truth 1"
+        with pytest.raises(ValueError, match=match):
+            LIST_METRICS[name](preds, gts)
+
+    def test_bounds_of_the_contract_are_accepted(self):
+        pred, gt = toy_pair(109, 6)
+        pred[0, 0], pred[0, 1] = 0.0, 1.0
+        for metric in LIST_METRICS.values():
+            metric([pred, gt], [gt, gt.astype(bool)])
+
     @pytest.mark.parametrize("name", sorted(LIST_METRICS))
     def test_bool_and_uint8_ground_truth_equal_float(self, name):
         metric = LIST_METRICS[name]

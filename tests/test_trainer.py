@@ -1,13 +1,16 @@
 import copy
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from cracenet import trainer as trainer_module
 from cracenet.crace import CraceConfig
 from cracenet.data import gen_synthetic, load_checkpoint, load_dataset, save_checkpoint
 from cracenet.losses import LossConfig
 from cracenet.network import EncoderConfig, NetworkConfig
-from cracenet.tensor import Tensor
+from cracenet.tensor import ShapeError, Tensor
 from cracenet.trainer import (
     ABLATION_SCHEDULE,
     DivergenceError,
@@ -16,6 +19,7 @@ from cracenet.trainer import (
     augment,
     build_model_from_checkpoint,
     config_snapshot,
+    configs_from_fields,
     evaluate_model,
     flip_horizontal,
     format_ablation_table,
@@ -286,6 +290,29 @@ class TestTrainLoop:
         with pytest.raises(ResumeMismatchError, match=r"network\.crace\.n "):
             train(dataset, cfg, net_cfg, resume=ckpt)
 
+    @pytest.mark.parametrize(
+        "damage, error, match",
+        [("drop", KeyError, "checkpoint missing 'optim/"),
+         ("reshape", ShapeError, "'optim/crace2.channel_reduce.weight': checkpoint shape")],
+        ids=["missing", "misshaped"],
+    )
+    def test_resume_checks_the_optimizer_state_first(
+        self, dataset, tmp_path, damage, error, match
+    ):
+        cfg = tiny_train_cfg(total_steps=4, checkpoint_interval=2)
+        train(dataset, cfg, tiny_net_cfg(), out_dir=tmp_path / "run")
+        snapshot, arrays = load_checkpoint(tmp_path / "run/checkpoint_step000002.ckpt")
+        if damage == "drop":  # the model's arrays only, as export_arrays() gives them
+            arrays = {k: v for k, v in arrays.items() if not k.startswith("optim/")}
+        else:
+            name = "optim/crace2.channel_reduce.weight"
+            arrays[name] = arrays[name][:-1]
+        bad = tmp_path / "bad.ckpt"
+        save_checkpoint(bad, snapshot, arrays)
+        with pytest.raises(error, match=match):
+            train(dataset, cfg, tiny_net_cfg(), out_dir=tmp_path / "resumed", resume=bad)
+        assert not (tmp_path / "resumed").exists()
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
             train([], tiny_train_cfg())
@@ -308,6 +335,33 @@ def with_retired_fields(snapshot: dict, **overrides) -> dict:
         section = next(d for d in (net["crace"], net["encoder"], old["loss"]) if key in d)
         section[key] = value
     return old
+
+
+class TestConfigsFromFields:
+    def test_each_key_goes_to_the_class_that_declares_it(self):
+        train_cfg, net_cfg, loss_cfg = configs_from_fields(
+            {"mode": "rgbd", "lr_head": 0.01, "widths": (4, 8, 12, 16), "n": 8, "use_iou": False}
+        )
+        assert train_cfg == TrainConfig(mode="rgbd", lr_head=0.01)
+        assert net_cfg == NetworkConfig(EncoderConfig((4, 8, 12, 16)), CraceConfig(n=8), "rgbd")
+        assert loss_cfg == LossConfig(use_iou=False)
+
+    def test_no_values_give_the_defaults(self):
+        assert configs_from_fields({}) == (TrainConfig(), NetworkConfig.default(), LossConfig())
+
+    def test_unknown_key_is_error(self):
+        with pytest.raises(ValueError, match="unknown config key 'learning_rate'"):
+            configs_from_fields({"learning_rate": 0.1})
+
+    @pytest.mark.parametrize("train_mode, net_mode", [("rgb", "rgbd"), ("rgbd", "rgb")])
+    def test_snapshot_with_two_modes_is_refused(self, tmp_path, train_mode, net_mode):
+        snapshot = config_snapshot(
+            0, tiny_train_cfg(mode=train_mode), tiny_net_cfg(net_mode), LossConfig()
+        )
+        ckpt = tmp_path / "mixed.ckpt"
+        save_checkpoint(ckpt, snapshot, {})
+        with pytest.raises(ValueError, match="network mode .* differs from train mode"):
+            build_model_from_checkpoint(ckpt)
 
 
 class TestOlderCheckpoints:
@@ -367,6 +421,24 @@ class TestAblationHarness:
             assert any(line.startswith(name) for line in lines)
         for report in results.values():
             assert all(np.isfinite(v) for v in report.as_dict().values())
+
+    def test_rows_override_the_callers_configs(self, monkeypatch):
+        seen = []
+        def fake_train(samples, *cfgs):
+            seen.append(cfgs)
+            return SimpleNamespace(model=None)
+
+        monkeypatch.setattr(trainer_module, "train", fake_train)
+        monkeypatch.setattr(trainer_module, "evaluate_model", lambda model, samples: None)
+        cfg, net_cfg = tiny_train_cfg(mode="rgbd"), tiny_net_cfg("rgbd")
+        run_ablation([None], cfg, net_cfg, rows=["baseline", "w/o Depth", "w/o IoU"])
+        blocks_off = dict(enable_cross_attention=False, enable_channel_attention=False,
+                          enable_multiscale=False, enable_attentive_fusion=False)
+        assert seen == [
+            (cfg, replace(net_cfg, crace=replace(net_cfg.crace, **blocks_off)), LossConfig()),
+            (replace(cfg, mode="rgb"), tiny_net_cfg("rgb"), LossConfig()),
+            (cfg, net_cfg, LossConfig(use_iou=False)),
+        ]
 
     def test_rgb_mode_drops_depth_row(self, dataset):
         cfg = tiny_train_cfg(total_steps=2, mode="rgb")
