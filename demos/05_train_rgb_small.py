@@ -22,7 +22,9 @@ from cracenet import CraceConfig, EncoderConfig, NetworkConfig, TrainConfig
 from cracenet.data import gen_synthetic, load_dataset
 from cracenet.trainer import evaluate_model, train
 
-root = Path(tempfile.mkdtemp(prefix="cracenet_demo_"))
+# Removed, with everything written under it, when the script ends.
+workdir = tempfile.TemporaryDirectory(prefix="cracenet_demo_")
+root = Path(workdir.name)
 
 # %%
 # Eight synthetic scenes: 1-3 anti-aliased shapes on textured backgrounds.
@@ -49,4 +51,5 @@ result = train(samples, cfg, net_cfg, out_dir=root / "run", verbose=True)
 
 report = evaluate_model(result.model, samples)
 print(report.text_table())
-print("artifacts under:", root)
+print("artifacts:", sorted(p.name for p in (root / "run").iterdir()))
+workdir.cleanup()

@@ -16,7 +16,9 @@ from cracenet import CraceConfig, EncoderConfig, NetworkConfig, TrainConfig
 from cracenet.data import gen_synthetic, load_dataset
 from cracenet.trainer import evaluate_model, train
 
-root = Path(tempfile.mkdtemp(prefix="cracenet_rgbd_"))
+# Removed, with everything written under it, when the script ends.
+workdir = tempfile.TemporaryDirectory(prefix="cracenet_rgbd_")
+root = Path(workdir.name)
 
 # %%
 # Shapes exist only in the depth channel.
@@ -53,3 +55,4 @@ print(f"\n{'':14s}{'maxF':>8s}{'MAE':>8s}")
 print(f"{'RGB-D':14s}{with_depth.max_f:8.3f}{with_depth.mae:8.3f}")
 print(f"{'w/o depth':14s}{without.max_f:8.3f}{without.mae:8.3f}")
 print(f"\ndepth advantage: {with_depth.max_f - without.max_f:+.3f} maxF")
+workdir.cleanup()

@@ -16,7 +16,9 @@ from cracenet import CraceConfig, EncoderConfig, NetworkConfig, TrainConfig
 from cracenet.data import gen_synthetic, load_dataset
 from cracenet.trainer import format_ablation_table, run_ablation
 
-root = Path(tempfile.mkdtemp(prefix="cracenet_ablation_"))
+# Removed, with everything written under it, when the script ends.
+workdir = tempfile.TemporaryDirectory(prefix="cracenet_ablation_")
+root = Path(workdir.name)
 gen_synthetic(root / "data", n=4, size=32, seed=5, with_depth=True)
 samples = load_dataset(root / "data", with_depth=True)
 
@@ -31,3 +33,4 @@ net_cfg = NetworkConfig(
 results = run_ablation(samples, cfg, net_cfg, verbose=True)
 print()
 print(format_ablation_table(results))
+workdir.cleanup()

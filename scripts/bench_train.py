@@ -3,7 +3,8 @@
 Run from the root of a checkout::
 
     python3 scripts/bench_train.py --label change
-    python3 scripts/bench_train.py --label parent --src /path/to/other/checkout/src
+    python3 scripts/bench_train.py --label parent --src /path/to/other/checkout/src \
+        --skip "rgbd352:needs more memory than this machine has"
 
 Each case writes its scenes with ``data.gen_synthetic``, loads them and
 calls ``trainer.train`` once, without multi-scale resizing so that every
@@ -11,16 +12,23 @@ step trains on the same shapes:
 
 - ``rgb64``: RGB, 64x64, batch 4, scene seed 22;
 - ``rgbd256``: RGB-D, 256x256, batch 2, scene seed 0 (the
-  ``train_rgbd256`` benchmark workload's shapes).
+  ``train_rgbd256`` benchmark workload's shapes);
+- ``rgb352`` and ``rgbd352``: RGB and RGB-D at the paper's 352x352, batch
+  4, scene seed 0.
 
 A step is timed from one ``sgd_step`` return to the next, as in
 ``bench/workloads.py``; the first step is a warm-up and is dropped.  The
 result holds the median and quartiles of the remaining steps, the peak
 resident set size of the case's process (``ru_maxrss``; each case runs in
 its own subprocess, so one case's peak does not hide another's) and the
-final loss row.  It is stored, with the machine, under ``runs[<label>]`` of
-``BENCH_train.json`` at the root of the checkout; other labels already in
-the file are kept.  BLAS is pinned to one thread, as in ``bench/run.py``.
+final loss row.  A case whose process fails, for instance because it is
+killed for memory, gets a row with its ``exit_status`` (negative: the signal)
+and the last line of its standard error instead, and the other cases still
+run.  ``--skip NAME:REASON`` records a case as not run, with the reason,
+without starting it.  The rows are stored, with the machine, under
+``runs[<label>]`` of ``BENCH_train.json`` at the root of the checkout; other
+labels already in the file are kept.  BLAS is pinned to one thread, as in
+``bench/run.py``.
 
 The ``rgb64`` case's later steps are slowed by subnormal gradients (ROADMAP
 item 1), so its quartiles are far apart and its median moves with them.
@@ -47,6 +55,8 @@ ROOT = Path(__file__).resolve().parents[1]
 CASES = {
     "rgb64": ("rgb", 64, 4, 8, 22, 20),
     "rgbd256": ("rgbd", 256, 2, 4, 0, 8),
+    "rgb352": ("rgb", 352, 4, 4, 0, 3),
+    "rgbd352": ("rgbd", 352, 4, 4, 0, 3),
 }
 
 
@@ -96,6 +106,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--label", help="key of this run in the output")
     parser.add_argument("--src", default=str(ROOT / "src"), help="directory holding cracenet")
+    parser.add_argument(
+        "--skip", action="append", default=[], metavar="NAME:REASON",
+        help="record case NAME as not run, for REASON",
+    )
     parser.add_argument("--case", choices=sorted(CASES), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -108,13 +122,25 @@ def main(argv=None) -> int:
         return 0
     if not args.label:
         parser.error("--label is required")
+    skipped = dict(item.partition(":")[::2] for item in args.skip)
+    if set(skipped) - set(CASES):
+        parser.error(f"--skip: unknown case {sorted(set(skipped) - set(CASES))}")
 
     cases = {}
     for name in CASES:
+        if name in skipped:
+            cases[name] = {"not_run": skipped[name]}
+            print(f"{name}: not run ({skipped[name]})", flush=True)
+            continue
         proc = subprocess.run(
             [sys.executable, __file__, "--case", name, "--src", src],
-            check=True, capture_output=True, text=True,
+            capture_output=True, text=True,
         )
+        if proc.returncode != 0:
+            err = proc.stderr.strip().splitlines()
+            cases[name] = {"exit_status": proc.returncode, "error": err[-1] if err else ""}
+            print(f"{name}: failed with exit status {proc.returncode}", flush=True)
+            continue
         row = json.loads(proc.stdout.strip().splitlines()[-1])
         cases[name] = row
         print(

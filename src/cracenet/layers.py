@@ -12,9 +12,12 @@ copied out of its sliding windows with columns in (kh, kw, C) order, so
 the copy moves contiguous runs of C values.  The weight, stored
 (O, C, kh, kw), is multiplied as its (O, kh*kw*C) reordering, giving the
 NCHW output directly, and the backward pass adds the column gradient back
-into a channels-last buffer one kernel tap at a time.  The patch matrix is
-kept for the weight gradient.  The input gradient is computed only when the
-input requires one, so the stem convs on the image and depth map skip it.
+into a channels-last buffer one kernel tap at a time.  Backward keeps
+neither the padded buffer nor the patch matrix, which is kh*kw times the
+input: it rebuilds the matrix from the input for the weight gradient, with
+the same copy as the forward pass, and frees it before the input gradient.
+The input gradient is computed only when the input requires one, so the
+stem convs on the image and depth map skip it.
 
 Train-mode batch norm is one graph node that keeps only the normalized
 input x_hat and the per-channel 1/sqrt(var + eps); its backward is the
@@ -184,17 +187,8 @@ def conv2d(x: Tensor, layer: Conv2dLayer) -> Tensor:
     Hp, Wp = H + 2 * pad, W + 2 * pad
     Ho = (H - 1) // s + 1
     Wo = (W - 1) // s + 1
-    xp = np.zeros((B, Hp, Wp, C))
-    xp[:, pad : pad + H, pad : pad + W, :] = x.data.transpose(0, 2, 3, 1)
-    eff = d * (k - 1) + 1
-    win = np.lib.stride_tricks.sliding_window_view(xp, (eff, eff), axis=(1, 2))
-    # (B, Ho, Wo, C, kh, kw) windows -> (B, Ho, Wo, kh, kw, C) columns in one
-    # copy that moves contiguous runs of C (of kw*C when dilation is 1).
-    win = win[:, ::s, ::s, :, ::d, ::d].transpose(0, 1, 2, 4, 5, 3)
-    cols = np.ascontiguousarray(win).reshape(B, Ho * Wo, k * k * C)
-    del xp, win
     wmat = w.data.transpose(0, 2, 3, 1).reshape(O, k * k * C)
-    out = np.matmul(wmat, cols.transpose(0, 2, 1))
+    out = np.matmul(wmat, _patch_matrix(x.data, k, s, d).transpose(0, 2, 1))
     if b is not None:
         out += b.data[:, None]
 
@@ -203,7 +197,11 @@ def conv2d(x: Tensor, layer: Conv2dLayer) -> Tensor:
 
     def bwd(g):
         gm = g.reshape(B, O, Ho * Wo)
+        # The patch matrix is rebuilt from the input rather than kept from
+        # the forward pass: it is kh*kw times the input's size.
+        cols = _patch_matrix(x.data, k, s, d)
         gw = np.matmul(gm, cols).sum(axis=0).reshape(O, k, k, C).transpose(0, 3, 1, 2)
+        del cols
         gx = None
         if need_gx:
             gcols = np.matmul(gm.transpose(0, 2, 1), wmat).reshape(B, Ho, Wo, k, k, C)
@@ -222,6 +220,22 @@ def conv2d(x: Tensor, layer: Conv2dLayer) -> Tensor:
         return gx, gw, gm.sum(axis=(0, 2))
 
     return make_node(out.reshape(B, O, Ho, Wo), parents, bwd)
+
+
+def _patch_matrix(xd: np.ndarray, k: int, s: int, d: int) -> np.ndarray:
+    """(B, Ho*Wo, k*k*C) patch matrix of the NCHW array ``xd`` under "same"
+    zero padding, columns in (kh, kw, C) order."""
+    B, C, H, W = xd.shape
+    pad = d * (k - 1) // 2
+    xp = np.zeros((B, H + 2 * pad, W + 2 * pad, C))
+    xp[:, pad : pad + H, pad : pad + W, :] = xd.transpose(0, 2, 3, 1)
+    eff = d * (k - 1) + 1
+    win = np.lib.stride_tricks.sliding_window_view(xp, (eff, eff), axis=(1, 2))
+    # (B, Ho, Wo, C, kh, kw) windows -> (B, Ho, Wo, kh, kw, C) columns in one
+    # copy that moves contiguous runs of C (of kw*C when dilation is 1).
+    win = win[:, ::s, ::s, :, ::d, ::d].transpose(0, 1, 2, 4, 5, 3)
+    Ho, Wo = win.shape[1:3]
+    return np.ascontiguousarray(win).reshape(B, Ho * Wo, k * k * C)
 
 
 def _conv1x1(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:

@@ -459,6 +459,9 @@ def backward(loss: Tensor) -> None:
     ``loss`` must be a scalar (size 1).  Only leaves (tensors without a
     backward rule) receive ``grad``; interior nodes keep none.  Repeated
     calls without :func:`zero_grads` accumulate into existing gradients.
+    The call frees nothing: the graph, with every node's output and
+    whatever its backward rule keeps, lives as long as the caller holds
+    ``loss`` or any other output of the graph.
     """
     if not isinstance(loss, Tensor):
         raise GraphError("backward expects a Tensor")

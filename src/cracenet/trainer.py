@@ -360,6 +360,44 @@ def _batch_rng(seed: int, step: int, k: int | None = None) -> np.random.Generato
     return np.random.default_rng(np.random.SeedSequence(entropy=entropy))
 
 
+def _train_step(model, params, velocities, samples, step, cfg, loss_cfg) -> dict:
+    """Forward, backward and SGD update of one step; returns its log row.
+
+    The step's graph is reachable only from this call's locals, so it is
+    freed on return, before the next step's forward or a checkpoint write.
+    """
+    step_rng = _batch_rng(cfg.seed, step)
+    n = len(samples)
+    idx = step_rng.choice(n, size=cfg.batch_size, replace=n < cfg.batch_size)
+    if cfg.multiscale:
+        factor = MULTISCALE_FACTORS[int(step_rng.integers(len(MULTISCALE_FACTORS)))]
+        side = snap32(cfg.input_size * factor)
+    else:
+        side = cfg.input_size
+    images, gts, depths, edges = [], [], [], []
+    for k, i in enumerate(idx):
+        rng_k = _batch_rng(cfg.seed, step, k)
+        img, gt, dep = augment(samples[int(i)], cfg, rng_k, (side, side))
+        images.append(img)
+        gts.append(gt)
+        edges.append(make_edge_gt(gt))
+        if cfg.mode == "rgbd":
+            depths.append(dep)
+    image_t = Tensor(np.stack(images))
+    depth_t = Tensor(np.stack(depths)[:, None]) if cfg.mode == "rgbd" else None
+
+    outputs = model.forward(image_t, depth_t, training=True)
+    total, parts = _assemble_losses(outputs, np.stack(gts), np.stack(edges), loss_cfg, cfg.mode)
+    if not np.isfinite(total.item()):
+        raise DivergenceError(f"loss became non-finite at step {step}")
+
+    zero_grads(params.values())
+    backward(total)
+    mult = lr_multiplier(step, cfg.total_steps, cfg.warmup)
+    sgd_step(params, velocities, cfg, mult)
+    return {"step": step, "lr": cfg.lr_head * mult, "L_total": total.item(), **parts}
+
+
 def train(
     samples: list[Sample],
     cfg: TrainConfig,
@@ -426,44 +464,10 @@ def train(
     t0 = time.time()
 
     for step in range(start_step, cfg.total_steps):
-        step_rng = _batch_rng(cfg.seed, step)
-        n = len(samples)
-        idx = step_rng.choice(n, size=cfg.batch_size, replace=n < cfg.batch_size)
-        if cfg.multiscale:
-            factor = MULTISCALE_FACTORS[int(step_rng.integers(len(MULTISCALE_FACTORS)))]
-            side = snap32(cfg.input_size * factor)
-        else:
-            side = cfg.input_size
-        images, gts, depths, edges = [], [], [], []
-        for k, i in enumerate(idx):
-            rng_k = _batch_rng(cfg.seed, step, k)
-            img, gt, dep = augment(samples[int(i)], cfg, rng_k, (side, side))
-            images.append(img)
-            gts.append(gt)
-            edges.append(make_edge_gt(gt))
-            if cfg.mode == "rgbd":
-                depths.append(dep)
-        image_t = Tensor(np.stack(images))
-        depth_t = Tensor(np.stack(depths)[:, None]) if cfg.mode == "rgbd" else None
-
-        outputs = model.forward(image_t, depth_t, training=True)
-        total, parts = _assemble_losses(
-            outputs, np.stack(gts), np.stack(edges), loss_cfg, cfg.mode
-        )
-        if not np.isfinite(total.item()):
-            raise DivergenceError(
-                f"loss became non-finite at step {step}", last_checkpoint=last_saved
-            )
-
-        zero_grads(params.values())
-        backward(total)
-        mult = lr_multiplier(step, cfg.total_steps, cfg.warmup)
         try:
-            sgd_step(params, velocities, cfg, mult)
+            row = _train_step(model, params, velocities, samples, step, cfg, loss_cfg)
         except DivergenceError as err:
             raise DivergenceError(str(err), last_checkpoint=last_saved) from None
-
-        row = {"step": step, "lr": cfg.lr_head * mult, "L_total": total.item(), **parts}
         log_rows.append(row)
         if log_path:
             with log_path.open("a") as log:

@@ -123,6 +123,18 @@ class TestConv2d:
         backward((conv2d(x, layer) ** 2.0).sum())
         assert x.grad is None and layer.weight.grad is not None
 
+    @pytest.mark.parametrize(
+        "kernel, stride, dilation", [(3, 1, 1), (3, 2, 1), (3, 1, 2), (1, 2, 1)]
+    )
+    def test_backward_keeps_no_array_larger_than_its_input(self, kernel, stride, dilation):
+        # The patch matrix is kernel**2 times the input; backward rebuilds it.
+        rng = np.random.default_rng(19)
+        x = t(rng.normal(size=(2, 3, 16, 16)), grad=True)
+        node = conv2d(x, Conv2dLayer(3, 4, kernel, stride, dilation, rng=rng))
+        cells = [cell.cell_contents for cell in node._backward.__closure__]
+        held = [value for value in cells if isinstance(value, np.ndarray)]
+        assert held and max(a.nbytes for a in held) <= x.data.nbytes
+
     def test_gradients_strided_1x1(self):
         rng = np.random.default_rng(13)
         x = t(rng.normal(size=(1, 3, 6, 6)), grad=True)

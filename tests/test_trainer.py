@@ -1,4 +1,5 @@
 import copy
+import weakref
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -9,7 +10,7 @@ from cracenet import trainer as trainer_module
 from cracenet.crace import CraceConfig
 from cracenet.data import gen_synthetic, load_checkpoint, load_dataset, save_checkpoint
 from cracenet.losses import LossConfig
-from cracenet.network import EncoderConfig, NetworkConfig
+from cracenet.network import EncoderConfig, NetworkConfig, SodNetwork
 from cracenet.tensor import ShapeError, Tensor
 from cracenet.trainer import (
     ABLATION_SCHEDULE,
@@ -312,6 +313,33 @@ class TestTrainLoop:
         with pytest.raises(error, match=match):
             train(dataset, cfg, tiny_net_cfg(), out_dir=tmp_path / "resumed", resume=bad)
         assert not (tmp_path / "resumed").exists()
+
+    def test_no_tensor_of_a_step_outlives_it(self, dataset, tmp_path, monkeypatch):
+        # Tensor has no weakref slot; its data array lives exactly as long
+        # unless the step's graph holds it too.
+        held = []
+
+        def assert_graph_freed(*_):
+            assert held and all(ref() is None for ref in held)
+
+        def forward(model, *args, **kwargs):
+            if held:
+                assert_graph_freed()
+            outputs = network_forward(model, *args, **kwargs)
+            held[:] = [weakref.ref(t.data) for maps in outputs.values() for t in maps]
+            return outputs
+
+        def save(*args):
+            assert_graph_freed()
+            save_checkpoint(*args)
+
+        network_forward = SodNetwork.forward
+        monkeypatch.setattr(SodNetwork, "forward", forward)
+        monkeypatch.setattr(trainer_module, "save_checkpoint", save)
+        cfg = tiny_train_cfg(mode="rgbd", total_steps=4, checkpoint_interval=2)
+        train(dataset, cfg, tiny_net_cfg("rgbd"), out_dir=tmp_path / "run")
+        assert_graph_freed()
+        assert len(held) == 12
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
