@@ -315,11 +315,11 @@ class TestTrainLoop:
         assert not (tmp_path / "resumed").exists()
 
     def test_no_tensor_of_a_step_outlives_it(self, dataset, tmp_path, monkeypatch):
-        # Tensor has no weakref slot; its data array lives exactly as long
-        # unless the step's graph holds it too.
+        # Tensor has no weakref slot, so watch each logit's data array, which
+        # only the tensor and the rest of its step's graph refer to.
         held = []
 
-        def assert_graph_freed(*_):
+        def assert_graph_freed():
             assert held and all(ref() is None for ref in held)
 
         def forward(model, *args, **kwargs):
@@ -339,7 +339,6 @@ class TestTrainLoop:
         cfg = tiny_train_cfg(mode="rgbd", total_steps=4, checkpoint_interval=2)
         train(dataset, cfg, tiny_net_cfg("rgbd"), out_dir=tmp_path / "run")
         assert_graph_freed()
-        assert len(held) == 12
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
