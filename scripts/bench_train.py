@@ -30,8 +30,9 @@ without starting it.  The rows are stored, with the machine, under
 labels already in the file are kept.  BLAS is pinned to one thread, as in
 ``bench/run.py``.
 
-The ``rgb64`` case's later steps are slowed by subnormal gradients (ROADMAP
-item 1), so its quartiles are far apart and its median moves with them.
+The ``rgb64`` case's level-2 heads saturate after a few steps (ROADMAP item
+1); the sigmoid's backward flushes the subnormal gradients this makes, so
+its steps no longer slow down as they appear.
 """
 
 from __future__ import annotations

@@ -4,6 +4,12 @@ Losses take probability maps (post-sigmoid) and binary ground truth.
 Pixel terms are averaged per image and then over the batch, so the loss
 scale does not grow with resolution.  Boundary ground truth is the mask
 minus its erosion, giving a thin band around every object.
+
+:func:`bce_loss` and :func:`iou_loss` each record one graph node with a
+closed-form backward.  Their forward keeps the operation order of the
+plain elementwise formula, so loss values are bit-identical to it, and a
+node keeps no per-pixel array beyond its inputs: the backward rebuilds
+what it needs from them.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .layers import erode
-from .tensor import Tensor, ShapeError, as_tensor, clip, log
+from .tensor import Tensor, ShapeError, as_tensor, make_node
 
 __all__ = [
     "LossConfig",
@@ -62,24 +68,68 @@ def _per_image_axes(t: Tensor):
 
 
 def bce_loss(pred: Tensor, target) -> Tensor:
-    """Mean binary cross entropy; probabilities clamped at 1e-7."""
+    """Mean binary cross entropy; probabilities clamped at 1e-7.
+
+    The clamp passes gradient only where ``pred`` lies inside
+    ``[PROB_EPS, 1 - PROB_EPS]``, both bounds included."""
     pred, target = _pair(pred, target)
-    p = clip(pred, PROB_EPS, 1.0 - PROB_EPS)
-    pix = target * log(p) + (1.0 - target) * log(1.0 - p)
+    pd, td = pred.data, target.data
+    lo, hi = PROB_EPS, 1.0 - PROB_EPS
+    p = np.clip(pd, lo, hi)
+    pix = td * np.log(p) + (1.0 - td) * np.log(1.0 - p)
+    np.negative(pix, out=pix)
     axes = _per_image_axes(pred)
-    per_image = (-pix).mean(axis=axes) if axes else (-pix).mean()
-    return per_image.mean() if axes else per_image
+    value = pix.mean(axis=axes).mean() if axes else pix.mean()
+    batch = pd.shape[0] if axes else 1
+    count = pd.size // batch
+
+    def bwd(g):
+        # Scaled in the order of the elementwise chain (batch mean,
+        # per-image mean, negation), which keeps the gradient bit-identical.
+        gm = g * (1.0 / batch) * (1.0 / count) * -1.0
+        p = np.clip(pd, lo, hi)
+        q = 1.0 - p
+        gp = gt = None
+        if pred.requires_grad:
+            gp = gm * td / p - gm * (1.0 - td) / q
+            gp *= (pd >= lo) & (pd <= hi)
+        if target.requires_grad:
+            gt = gm * np.log(p) - gm * np.log(q)
+        return gp, gt
+
+    return make_node(value, (pred, target), bwd)
 
 
 def iou_loss(pred: Tensor, target) -> Tensor:
     """1 - smoothed soft IoU, computed per image and batch-averaged."""
     pred, target = _pair(pred, target)
+    pd, td = pred.data, target.data
     axes = _per_image_axes(pred)
-    inter = (pred * target).sum(axis=axes)
-    union = (pred + target - pred * target).sum(axis=axes)
-    ratio = (inter + 1.0) / (union + 1.0)
-    loss = 1.0 - ratio
-    return loss.mean() if axes else loss
+    inter = (pd * td).sum(axis=axes) + 1.0
+    union = (pd + td - pd * td).sum(axis=axes) + 1.0
+    loss = 1.0 - inter / union
+    value = loss.mean() if axes else loss
+    batch = pd.shape[0] if axes else 1
+
+    def bwd(g):
+        # d(1 - I/U) = -dI/U + I dU/U^2, per image, with dI = t dp and
+        # dU = (1 - t) dp (and the same with p and t swapped).
+        gr = -(g * (1.0 / batch))
+        g_inter = gr / union
+        g_union = -gr * inter / (union * union)
+        if axes:
+            g_inter = g_inter.reshape(-1, 1, 1, 1)
+            g_union = g_union.reshape(-1, 1, 1, 1)
+
+        def side(other):
+            return g_inter * other + g_union * (1.0 - other)
+
+        return (
+            side(td) if pred.requires_grad else None,
+            side(pd) if target.requires_grad else None,
+        )
+
+    return make_node(value, (pred, target), bwd)
 
 
 def make_edge_gt(mask: np.ndarray, radius: int = 1) -> np.ndarray:

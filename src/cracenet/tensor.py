@@ -17,6 +17,14 @@ state on exit, exceptions included.  The state lives in a
 :class:`contextvars.ContextVar`, so it is per thread: a ``no_grad`` block
 on one thread leaves graphs recorded on other threads untouched.
 
+The op set is what the package uses: broadcasting arithmetic, ``relu``,
+``sigmoid``, sums and means, concatenation, padding and cropping.  A
+composite with a closed-form gradient records one node of its own through
+:func:`make_node` instead of a chain of these (train-mode batch norm and
+convolution in ``layers``, BCE and soft IoU in ``losses``), so it keeps no
+intermediate arrays in the graph.  Only ``sigmoid``'s backward departs
+from plain IEEE arithmetic: it flushes subnormal results to zero.
+
 Tensors are immutable after creation except for their ``grad`` field.  A
 graph and its tensors are confined to one thread for the duration of a
 forward/backward pass; independent graphs may live on separate threads.
@@ -41,8 +49,6 @@ __all__ = [
     "concat",
     "concat_channels",
     "crop2d",
-    "exp",
-    "log",
     "make_node",
     "no_grad",
     "pad_bottom_right",
@@ -160,9 +166,6 @@ class Tensor:
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         return reduce_mean(self, axis=axis, keepdims=keepdims)
 
-    def clip(self, lo: float, hi: float) -> "Tensor":
-        return clip(self, lo, hi)
-
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
@@ -278,39 +281,24 @@ def power(a, p) -> Tensor:
 # -- elementwise unary ops ---------------------------------------------
 
 
-def exp(x) -> Tensor:
-    x = as_tensor(x)
-    y = np.exp(x.data)
-
-    def bwd(g):
-        return (g * y,)
-
-    return make_node(y, (x,), bwd)
-
-
-def log(x) -> Tensor:
-    x = as_tensor(x)
-    xd = x.data
-
-    def bwd(g):
-        return (g / xd,)
-
-    return make_node(np.log(xd), (x,), bwd)
-
-
 def sigmoid(x) -> Tensor:
-    """Numerically stable logistic; outputs are strictly inside (0, 1)."""
+    """Numerically stable logistic; outputs are strictly inside (0, 1).
+
+    The backward flushes results below ``finfo.tiny`` in magnitude to
+    zero: a saturated output times a small upstream would otherwise feed
+    subnormals, which are slow on most CPUs, to everything upstream."""
     x = as_tensor(x)
     xd = x.data
-    y = np.empty_like(xd)
-    pos = xd >= 0
-    y[pos] = 1.0 / (1.0 + np.exp(-xd[pos]))
-    e = np.exp(xd[~pos])
-    y[~pos] = e / (1.0 + e)
+    # exp(-|x|) never overflows; the minimum keeps a NaN's sign bit.
+    e = np.exp(np.minimum(xd, -xd))
+    d = 1.0 + e
+    y = np.where(xd >= 0, 1.0 / d, e / d)
     np.clip(y, _SIG_LO, _SIG_HI, out=y)
 
     def bwd(g):
-        return (g * y * (1.0 - y),)
+        gx = g * y * (1.0 - y)
+        gx *= np.abs(gx) >= _SIG_LO
+        return (gx,)
 
     return make_node(y, (x,), bwd)
 
@@ -323,17 +311,6 @@ def relu(x) -> Tensor:
         return (g * mask,)
 
     return make_node(np.where(mask, x.data, 0.0), (x,), bwd)
-
-
-def clip(x, lo: float, hi: float) -> Tensor:
-    """Clamp values; gradient passes through the unclamped region only."""
-    x = as_tensor(x)
-    inside = (x.data >= lo) & (x.data <= hi)
-
-    def bwd(g):
-        return (g * inside,)
-
-    return make_node(np.clip(x.data, lo, hi), (x,), bwd)
 
 
 # -- reductions ---------------------------------------------------------

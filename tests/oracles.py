@@ -6,7 +6,7 @@ shared helpers with the library) so it can referee the fast paths.
 
 import numpy as np
 
-from cracenet.tensor import backward, zero_grads
+from cracenet.tensor import as_tensor, backward, make_node, zero_grads
 
 
 # -- finite differences -------------------------------------------------------
@@ -173,6 +173,57 @@ def batchnorm_train_composed(bn, x):
     running_mean = (1 - m) * bn.running_mean + m * mu.data.reshape(C)
     running_var = (1 - m) * bn.running_var + m * var.data.reshape(C)
     return xhat * gamma + beta, running_mean, running_var
+
+
+# -- logistic by sign masks ---------------------------------------------------------
+
+
+def sigmoid_masked(x):
+    """The logistic as two masked branches, ``1/(1+exp(-x))`` where x >= 0
+    and ``exp(x)/(1+exp(x))`` elsewhere, clamped to [tiny, 1 - 2**-53]."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.empty_like(x)
+    pos = x >= 0
+    y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
+    y[~pos] = e / (1.0 + e)
+    return np.clip(y, np.finfo(np.float64).tiny, np.nextafter(1.0, 0.0))
+
+
+# -- saliency losses as compositions of elementwise nodes ------------------------
+
+
+def _clip_node(x, lo, hi):
+    inside = (x.data >= lo) & (x.data <= hi)
+    return make_node(np.clip(x.data, lo, hi), (x,), lambda g: (g * inside,))
+
+
+def _log_node(x):
+    xd = x.data
+    return make_node(np.log(xd), (x,), lambda g: (g / xd,))
+
+
+def bce_composed(pred, target, eps):
+    """Mean BCE as a chain of clip, log, arithmetic and mean nodes, each
+    averaging per image first when 4-D (the graph ``losses.bce_loss``
+    replaced with one node)."""
+    pred, target = as_tensor(pred), as_tensor(target)
+    p = _clip_node(pred, eps, 1.0 - eps)
+    pix = target * _log_node(p) + (1.0 - target) * _log_node(1.0 - p)
+    if pred.ndim == 4:
+        return (-pix).mean(axis=(1, 2, 3)).mean()
+    return (-pix).mean()
+
+
+def iou_composed(pred, target):
+    """1 - (intersection + 1) / (union + 1) as a chain of arithmetic and sum
+    nodes, per image and batch-averaged when 4-D."""
+    pred, target = as_tensor(pred), as_tensor(target)
+    axes = (1, 2, 3) if pred.ndim == 4 else None
+    inter = (pred * target).sum(axis=axes)
+    union = (pred + target - pred * target).sum(axis=axes)
+    loss = 1.0 - (inter + 1.0) / (union + 1.0)
+    return loss.mean() if axes else loss
 
 
 # -- morphology -----------------------------------------------------------------

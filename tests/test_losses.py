@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cracenet.losses import (
+    PROB_EPS,
     LossConfig,
     bce_loss,
     iou_loss,
@@ -12,8 +13,8 @@ from cracenet.losses import (
     total_loss_rgb,
     total_loss_rgbd,
 )
-from cracenet.tensor import Tensor, ShapeError
-from oracles import check_gradients, erode_bruteforce
+from cracenet.tensor import Tensor, ShapeError, backward, zero_grads
+from oracles import bce_composed, check_gradients, erode_bruteforce, iou_composed
 
 
 def t(arr, grad=False):
@@ -85,6 +86,105 @@ class TestIou:
         p = t(rng.uniform(0.1, 0.9, size=(8, 8)), grad=True)
         s = (rng.uniform(size=(8, 8)) > 0.5).astype(float)
         check_gradients(lambda: iou_loss(p, s), [p], rng=rng)
+
+
+# Probabilities at and beyond the BCE clamp's bounds, which the clamp's
+# inclusive gradient mask has to treat like the composed clip node.
+EDGE_PROBS = (
+    0.0,
+    PROB_EPS,
+    float(np.nextafter(PROB_EPS, 0.0)),
+    1.0 - PROB_EPS,
+    float(np.nextafter(1.0 - PROB_EPS, 1.0)),
+    1.0,
+    -0.25,
+    1.25,
+)
+
+
+def _interior_nodes(loss):
+    """Every node reachable from ``loss`` that has a backward rule."""
+    found, stack, seen = [], [loss], set()
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node._backward is not None:
+            found.append(node)
+        stack.extend(node._parents)
+    return found
+
+
+def _value_and_grads(fn, p, s):
+    pred, target = t(p, grad=True), t(s, grad=True)
+    loss = fn(pred, target)
+    zero_grads([pred, target])
+    backward(loss)
+    return loss, pred.grad, target.grad
+
+
+class TestFusedAgainstComposed:
+    """``bce_loss`` / ``iou_loss`` against the elementwise graphs in oracles."""
+
+    CASES = {
+        "bce": (bce_loss, lambda p, s: bce_composed(p, s, PROB_EPS)),
+        "iou": (iou_loss, iou_composed),
+    }
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        which=st.sampled_from(sorted(CASES)),
+        four_d=st.booleans(),
+        B=st.integers(1, 3),
+        H=st.integers(1, 7),
+        W=st.integers(1, 7),
+        soft_target=st.booleans(),
+        n_edges=st.integers(0, 12),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_values_byte_equal_and_gradients_match(
+        self, which, four_d, B, H, W, soft_target, n_edges, seed
+    ):
+        rng = np.random.default_rng(seed)
+        shape = (B, 1, H, W) if four_d else (H, W)
+        p = rng.uniform(0.0, 1.0, size=shape)
+        where = rng.choice(p.size, min(n_edges, p.size), replace=False)
+        p.flat[where] = rng.choice(EDGE_PROBS, where.size)
+        s = rng.uniform(size=shape)
+        if not soft_target:
+            s = (s > 0.5).astype(np.float64)
+        fused, composed = self.CASES[which]
+        got, got_gp, got_gs = _value_and_grads(fused, p, s)
+        want, want_gp, want_gs = _value_and_grads(composed, p, s)
+        assert got.shape == want.shape == ()
+        assert got.data.tobytes() == want.data.tobytes()
+        for g, ref in ((got_gp, want_gp), (got_gs, want_gs)):
+            assert np.all(np.abs(g - ref) <= 1e-12 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("which", sorted(CASES))
+    @pytest.mark.parametrize("shape", [(5, 6), (3, 1, 4, 5)])
+    def test_one_node_keeping_no_per_pixel_array(self, which, shape):
+        rng = np.random.default_rng(10)
+        pred = t(rng.uniform(size=shape), grad=True)
+        loss = self.CASES[which][0](pred, (rng.uniform(size=shape) > 0.5).astype(float))
+        assert _interior_nodes(loss) == [loss]
+        cells = [cell.cell_contents for cell in loss._backward.__closure__]
+        held = [v for v in cells if isinstance(v, np.ndarray) and v.size == pred.size]
+        inputs = [node.data for node in loss._parents]
+        assert all(any(a is x for x in inputs) for a in held)
+
+    def test_clamp_mask_includes_both_bounds(self):
+        p = np.array([0.0, PROB_EPS, 0.5, 1.0 - PROB_EPS, 1.0])
+        s = np.array([1.0, 1.0, 1.0, 0.0, 0.0])
+        _, gp, _ = _value_and_grads(bce_loss, p, s)
+        assert np.array_equal(gp != 0.0, [False, True, True, True, False])
+
+    def test_gradient_reaches_a_target_that_requires_it(self):
+        rng = np.random.default_rng(11)
+        p = t(rng.uniform(0.1, 0.9, size=(2, 1, 3, 3)))
+        s = t(rng.uniform(0.1, 0.9, size=(2, 1, 3, 3)), grad=True)
+        check_gradients(lambda: bce_loss(p, s) + iou_loss(p, s), [s], rng=rng)
 
 
 class TestEdgeGt:

@@ -17,7 +17,7 @@ from cracenet.tensor import (
     relu,
     zero_grads,
 )
-from oracles import backward_every_node, check_gradients
+from oracles import backward_every_node, check_gradients, sigmoid_masked
 
 
 def t(arr, grad=True):
@@ -90,6 +90,45 @@ class TestSigmoid:
         backward(y)
         assert abs(x.grad[0] - 0.25) < 1e-10
         check_gradients(lambda: sigmoid(x).sum(), [x])
+
+
+TINY = np.finfo(np.float64).tiny
+SPECIAL_LOGITS = [0.0, -0.0, 800.0, -800.0, 5e-324, -5e-324, 1e-310, -1e-310,
+                  np.nan, -np.nan, np.inf, -np.inf, 36.7, -36.7, 708.0, -745.0]
+
+
+class TestSigmoidPaths:
+    """The branch-free forward and the flushing backward."""
+
+    def test_special_values_byte_equal_to_masked_formula(self):
+        x = np.array(SPECIAL_LOGITS)
+        assert sigmoid(t(x, grad=False)).data.tobytes() == sigmoid_masked(x).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                    min_size=1, max_size=40),
+           st.integers(0, 2**31 - 1))
+    def test_byte_equal_to_masked_formula(self, values, seed):
+        rng = np.random.default_rng(seed)
+        x = np.concatenate([values, rng.normal(scale=40.0, size=200), SPECIAL_LOGITS])
+        rng.shuffle(x)
+        assert sigmoid(t(x, grad=False)).data.tobytes() == sigmoid_masked(x).tobytes()
+
+    def test_backward_flushes_subnormals_and_keeps_other_bits(self):
+        rng = np.random.default_rng(3)
+        x = t(np.concatenate([[-800.0, -745.0, -700.0, 800.0], rng.normal(scale=30.0, size=300)]))
+        scale = np.where(np.arange(300) % 7 == 0, 1e-300, 1.0)
+        g = np.concatenate([[0.5, 1.0, 1e-10, 0.25], rng.normal(size=300) * scale])
+        y = sigmoid(x)
+        zero_grads([x])
+        backward((y * Tensor(g)).sum())
+        plain = g * y.data * (1.0 - y.data)
+        sub = (plain != 0.0) & (np.abs(plain) < TINY)
+        # sigmoid(-745) clamps to tiny itself, which is kept
+        assert sub[0] and not sub[1] and sub[2] and sub.sum() > 3
+        assert np.all(x.grad[sub] == 0.0)
+        # array_equal: accumulating into zeroed grads turns -0.0 into 0.0
+        assert np.array_equal(x.grad[~sub], plain[~sub])
 
 
 class TestBackward:
