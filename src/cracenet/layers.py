@@ -6,22 +6,40 @@ ceil(H/s).  Forward passes never mutate parameters; updates are the
 trainer's job.
 
 A 1x1 stride-1 convolution is one batched matrix product on the NCHW
-input.  Every other convolution works channels last: the input is copied
-once into a zero-padded (B, Hp, Wp, C) buffer, and the patch matrix is
-copied out of its sliding windows with columns in (kh, kw, C) order, so
-the copy moves contiguous runs of C values.  The weight, stored
-(O, C, kh, kw), is multiplied as its (O, kh*kw*C) reordering, giving the
-NCHW output directly, and the backward pass adds the column gradient back
-into a channels-last buffer one kernel tap at a time.  Backward keeps
-neither the padded buffer nor the patch matrix, which is kh*kw times the
-input: it rebuilds the matrix from the input for the weight gradient, with
-the same copy as the forward pass, and frees it before the input gradient.
-The input gradient is computed only when the input requires one, so the
-stem convs on the image and depth map skip it.
+input.  A larger stride-1 convolution is a flat-shift implicit GEMM
+(Chetlur et al., 2014): the input is copied once into a zero-padded
+(B, C, Hp*Wp + slack) buffer whose rows lie end to end, where kernel tap
+(i, j) is the contiguous slice at offset i*d*Wp + j*d, so the output is
+the sum over taps of the tap's (O, C) weight times its slice, over H*Wp
+columns of which the 2*pad past each row's end are dropped.  Its input
+gradient is the same convolution of the upstream gradient by the
+transposed taps in reverse order, and the weight gradient of a tap is the
+upstream gradient, zero in the dropped columns, times the tap's slice.  A
+tap that reads only padding (a small map under a large dilation) adds
+exact zeros; it is skipped and its weight gradient is 0.  No array larger
+than the padded input or the padded output is built.
 
-Train-mode batch norm is one graph node that keeps only the normalized
-input x_hat and the per-channel 1/sqrt(var + eps); its backward is the
-closed form ``gx = gamma*rstd*(g - mean(g) - x_hat*mean(g*x_hat))``.
+A strided convolution works channels last: the input is copied once into
+a zero-padded (B, Hp, Wp, C) buffer, and the patch matrix is copied out of
+its sliding windows with columns in (kh, kw, C) order, so the copy moves
+contiguous runs of C values.  The weight, stored (O, C, kh, kw), is
+multiplied as its (O, kh*kw*C) reordering, giving the NCHW output
+directly, and the backward pass adds the column gradient back into a
+channels-last buffer one kernel tap at a time.
+
+Backward keeps neither padded buffer nor patch matrix, which is kh*kw
+times the input: it rebuilds them from the input, with the forward's copy,
+for the weight gradient and frees them before the input gradient.  The
+input gradient is computed only when the input requires one, so the stem
+convs on the image and depth map skip it.
+
+Train-mode batch norm is one graph node that keeps only the per-channel
+mean and 1/sqrt(var + eps); its backward recomputes x_hat from the input,
+in the forward's operation order, and applies the closed form
+``gx = gamma*rstd*(g - mean(g) - x_hat*mean(g*x_hat))``.  Asked for a
+following ReLU, it emits ``relu(bn(x))`` from the same node, whose backward
+first masks the upstream by ``out > 0``; so conv -> BN -> ReLU keeps the
+conv output and the block output and nothing else per pixel.
 
 Upsampling is half-pixel bilinear by an integer factor; average pooling
 by an integer factor is its downsampling counterpart.
@@ -34,6 +52,8 @@ from functools import lru_cache
 import numpy as np
 
 from .tensor import Tensor, ShapeError, make_node, relu
+
+_relu = relu  # BatchNormLayer.forward's ``relu`` flag shadows the op
 
 __all__ = [
     "BatchNormLayer",
@@ -181,6 +201,8 @@ def conv2d(x: Tensor, layer: Conv2dLayer) -> Tensor:
 
     if k == 1 and s == 1:
         return _conv1x1(x, w, b)
+    if s == 1:
+        return _conv_flat(x, w, b, k, d)
 
     O = layer.out_channels
     pad = d * (k - 1) // 2
@@ -220,6 +242,98 @@ def conv2d(x: Tensor, layer: Conv2dLayer) -> Tensor:
         return gx, gw, gm.sum(axis=(0, 2))
 
     return make_node(out.reshape(B, O, Ho, Wo), parents, bwd)
+
+
+def _flat_padded(xd: np.ndarray, pad: int) -> np.ndarray:
+    """(B, C, Hp*Wp + 2*pad) copy of the NCHW array ``xd`` under "same" zero
+    padding, rows of width Wp laid end to end; the 2*pad slack columns let
+    every tap's slice run over H*Wp columns."""
+    B, C, H, W = xd.shape
+    Hp, Wp = H + 2 * pad, W + 2 * pad
+    xf = np.zeros((B, C, Hp * Wp + 2 * pad))
+    xf[:, :, : Hp * Wp].reshape(B, C, Hp, Wp)[:, :, pad : pad + H, pad : pad + W] = xd
+    return xf
+
+
+def _live_taps(H: int, W: int, k: int, d: int) -> list[tuple[int, int, int]]:
+    """(i, j, i*d*Wp + j*d) of every kernel tap that reads at least one
+    input pixel; a tap whose rows or columns all fall in the padding adds
+    exact zeros, so the flat-shift products skip it."""
+    pad = d * (k - 1) // 2
+    Wp = W + 2 * pad
+    rows = [i for i in range(k) if abs(i * d - pad) < H]
+    cols = [j for j in range(k) if abs(j * d - pad) < W]
+    return [(i, j, i * d * Wp + j * d) for i in rows for j in cols]
+
+
+def _shift_gemm(xd: np.ndarray, wt: np.ndarray, d: int) -> np.ndarray:
+    """Stride-1 "same" convolution of the NCHW array ``xd`` by the
+    (kh, kw, O, C) taps ``wt``, bias-free, as a flat-shift implicit GEMM.
+
+    In the flat padded buffer, output pixel (r, c) sits at column r*Wp + c
+    and tap (i, j) reads it at offset i*d*Wp + j*d, so each tap is one
+    matrix product of its (O, C) weight with a contiguous slice of H*Wp
+    columns, summed into the output one tap at a time.  The 2*pad columns
+    of each row that fall past W are junk and are dropped.
+    """
+    B, C, H, W = xd.shape
+    k, _, O, _ = wt.shape
+    pad = d * (k - 1) // 2
+    Wp = W + 2 * pad
+    n = H * Wp
+    (i0, j0, off0), *rest = _live_taps(H, W, k, d)
+    xf = _flat_padded(xd, pad)
+    acc = np.empty((B, O, n))
+    tmp = np.empty((O, n))
+    for bi in range(B):
+        np.matmul(wt[i0, j0], xf[bi, :, off0 : off0 + n], out=acc[bi])
+        for i, j, off in rest:
+            np.matmul(wt[i, j], xf[bi, :, off : off + n], out=tmp)
+            acc[bi] += tmp
+    del xf, tmp
+    return np.ascontiguousarray(acc.reshape(B, O, H, Wp)[:, :, :, :W])
+
+
+def _conv_flat(x: Tensor, w: Tensor, b: Tensor | None, k: int, d: int) -> Tensor:
+    """Stride-1 k x k convolution without a patch matrix (``_shift_gemm``).
+
+    The input gradient is the same kind of convolution of the upstream
+    gradient, by the transposed taps in reverse order.  The weight gradient
+    of tap (i, j) is the upstream gradient, flattened to rows of width Wp
+    with zeros in the junk columns, times the tap's slice of the input's
+    flat buffer, which is rebuilt from the input rather than kept.
+    """
+    B, C, H, W = x.shape
+    O = w.shape[0]
+    pad = d * (k - 1) // 2
+    Wp = W + 2 * pad
+    n = H * Wp
+    wt = np.ascontiguousarray(w.data.transpose(2, 3, 0, 1))  # (kh, kw, O, C)
+    out = _shift_gemm(x.data, wt, d)
+    if b is not None:
+        out += b.data[:, None, None]
+
+    parents = (x, w) if b is None else (x, w, b)
+    need_gx = x.requires_grad
+
+    def bwd(g):
+        gf = np.zeros((B, O, H, Wp))
+        gf[:, :, :, :W] = g
+        gf = gf.reshape(B, O, n)
+        xf = _flat_padded(x.data, pad)
+        gw = np.zeros((k, k, O, C))
+        for i, j, off in _live_taps(H, W, k, d):
+            gw[i, j] = np.matmul(gf, xf[:, :, off : off + n].transpose(0, 2, 1)).sum(axis=0)
+        del gf, xf
+        gw = np.ascontiguousarray(gw.transpose(2, 3, 0, 1))
+        gx = None
+        if need_gx:
+            gx = _shift_gemm(g, wt[::-1, ::-1].transpose(0, 1, 3, 2), d)
+        if b is None:
+            return gx, gw
+        return gx, gw, g.reshape(B, O, H * W).sum(axis=(0, 2))
+
+    return make_node(out, parents, bwd)
 
 
 def _patch_matrix(xd: np.ndarray, k: int, s: int, d: int) -> np.ndarray:
@@ -280,34 +394,50 @@ class BatchNormLayer(Module):
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
 
-    def forward(self, x: Tensor, training: bool) -> Tensor:
+    def forward(self, x: Tensor, training: bool, relu: bool = False) -> Tensor:
+        """``bn(x)``, or ``relu(bn(x))`` when ``relu`` is set.
+
+        In train mode the ReLU is part of the batch-norm node, whose
+        backward masks its upstream by ``out > 0`` before the batch-norm
+        closed form.  In eval mode it is a separate node.
+        """
         B, C, H, W = x.shape
         if C != self.channels:
             raise ShapeError(f"batchnorm: {C} channels, layer has {self.channels}")
         if not training:
-            return self._eval_forward(x)
+            out = self._eval_forward(x)
+            return _relu(out) if relu else out
         if B * H * W < 2:
             raise DegenerateStatisticsError(
                 "train-mode batch norm needs >= 2 elements per channel"
             )
         gamma = self.gamma.data.reshape(1, C, 1, 1)
         mu = x.data.mean(axis=(0, 2, 3), keepdims=True)
-        xhat = x.data - mu
-        var = (xhat * xhat).mean(axis=(0, 2, 3), keepdims=True)
+        out = x.data - mu
+        var = (out * out).mean(axis=(0, 2, 3), keepdims=True)
         rstd = (var + self.epsilon) ** -0.5
-        xhat *= rstd
-        out = xhat * gamma
+        out *= rstd
+        out *= gamma
         out += self.beta.data.reshape(1, C, 1, 1)
+        if relu:
+            # Byte-equal to tensor.relu: everything not > 0, NaN too, is +0.
+            np.copyto(out, 0.0, where=~(out > 0))
         m = self.momentum
         self.running_mean = (1 - m) * self.running_mean + m * mu.reshape(C)
         self.running_var = (1 - m) * self.running_var + m * var.reshape(C)
         inv_n = 1.0 / (B * H * W)
 
         def bwd(g):
+            if relu:
+                g = g * (out > 0)
+            # x_hat is recomputed from the input, in the forward's order.
+            xhat = x.data - mu
+            xhat *= rstd
             gbeta = g.sum(axis=(0, 2, 3))
             ggamma = (g * xhat).sum(axis=(0, 2, 3))
             gx = g - (gbeta * inv_n).reshape(1, C, 1, 1)
-            gx -= xhat * (ggamma * inv_n).reshape(1, C, 1, 1)
+            xhat *= (ggamma * inv_n).reshape(1, C, 1, 1)
+            gx -= xhat
             gx *= gamma * rstd
             return gx, ggamma, gbeta
 
@@ -351,7 +481,7 @@ class ConvBnRelu(Module):
         self.bn = BatchNormLayer(out_channels)
 
     def forward(self, x: Tensor, training: bool) -> Tensor:
-        return relu(self.bn.forward(self.conv.forward(x), training))
+        return self.bn.forward(self.conv.forward(x), training, relu=True)
 
 
 # -- resampling ----------------------------------------------------------

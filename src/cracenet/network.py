@@ -83,7 +83,7 @@ class ResidualBlock(Module):
             self.skip_bn = None
 
     def forward(self, x: Tensor, training: bool) -> Tensor:
-        y = relu(self.bn1.forward(self.conv1.forward(x), training))
+        y = self.bn1.forward(self.conv1.forward(x), training, relu=True)
         y = self.bn2.forward(self.conv2.forward(y), training)
         if self.skip is not None:
             x = self.skip_bn.forward(self.skip.forward(x), training)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -180,6 +182,51 @@ class TestConv2d:
             assert_rel_close(got, ref)
 
 
+    @pytest.mark.parametrize("dilation", [1, 2])
+    def test_stride1_forward_peak_stays_below_three_padded_inputs(self, dilation):
+        # A patch matrix alone would be kernel**2 = 9 times the input.
+        B, C, H = 2, 8, 32
+        rng = np.random.default_rng(29)
+        x = t(rng.normal(size=(B, C, H, H)), grad=True)
+        layer = Conv2dLayer(C, C, 3, 1, dilation, bias=False, rng=rng)
+        padded_bytes = B * C * (H + 2 * dilation) ** 2 * 8
+        tracemalloc.start()
+        try:
+            conv2d(x, layer)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * padded_bytes, peak / padded_bytes
+
+    @pytest.mark.parametrize(
+        "H, W, dilation, dead",
+        [
+            # The multi-scale branch's 2x2 map under dilation 6: only the
+            # centre tap reads the image.
+            (2, 2, 6, [(i, j) for i in range(3) for j in range(3) if (i, j) != (1, 1)]),
+            # Three rows under dilation 4: the top and bottom rows of taps
+            # read only padding; every column of taps reads the image.
+            (3, 8, 4, [(i, j) for i in (0, 2) for j in range(3)]),
+        ],
+    )
+    def test_taps_in_the_padding_get_exact_zero_weight_gradient(self, H, W, dilation, dead):
+        rng = np.random.default_rng(31)
+        layer = Conv2dLayer(3, 2, 3, 1, dilation, rng=rng)
+        x = t(rng.normal(size=(2, 3, H, W)), grad=True)
+        out = conv2d(x, layer)
+        g = rng.normal(size=out.shape)
+        gx, gw, gb = out._backward(g)
+        for i, j in dead:
+            assert np.all(gw[:, :, i, j] == 0.0)
+        want = conv2d_grad_bruteforce(x.data, layer.weight.data, g, 1, dilation)
+        for got, ref in zip((gx, gw, gb), want):
+            assert_rel_close(got, ref)
+        assert_rel_close(
+            out.data,
+            conv2d_bruteforce(x.data, layer.weight.data, layer.bias.data, 1, dilation),
+        )
+
+
 class TestBatchNorm:
     def test_train_mode_normalizes(self):
         rng = np.random.default_rng(1)
@@ -311,6 +358,97 @@ class TestBatchNorm:
             [x, bn.gamma, bn.beta],
             rng=rng,
         )
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        B=st.integers(1, 3),
+        C=st.integers(1, 4),
+        H=st.integers(1, 5),
+        W=st.integers(1, 5),
+        constant=st.booleans(),
+        zeros=st.booleans(),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @example(B=1, C=2, H=1, W=2, constant=False, zeros=False, seed=0)
+    @example(B=2, C=3, H=1, W=1, constant=True, zeros=True, seed=1)
+    def test_fused_relu_equals_relu_of_batchnorm(self, B, C, H, W, constant, zeros, seed):
+        assume(B * H * W >= 2)
+        rng = np.random.default_rng(seed)
+        gamma, beta = rng.normal(size=C), rng.normal(size=C)
+        xd = rng.normal(0.5, 2.0, size=(B, C, H, W))
+        if constant:
+            xd[:, 0] = 3.7
+        if zeros:
+            # Exact zeros in the input, and a channel whose output sits
+            # exactly on the ReLU's kink, as -0.0.
+            xd[rng.uniform(size=xd.shape) < 0.3] = 0.0
+            xd[:, -1] = 0.0
+            gamma[-1], beta[-1] = -1.5, -0.0
+        upstream = t(rng.normal(size=xd.shape))
+        results = []
+        for fused in (False, True):
+            bn = BatchNormLayer(C)
+            bn.gamma.data = gamma.copy()
+            bn.beta.data = beta.copy()
+            x = t(xd, grad=True)
+            if fused:
+                out = bn.forward(x, True, relu=True)
+            else:
+                out = relu(bn.forward(x, True))
+            backward((out * upstream).sum())
+            arrays = (out.data, bn.running_mean, bn.running_var, x.grad, bn.gamma.grad,
+                      bn.beta.grad)
+            results.append([a.tobytes() for a in arrays])
+        assert results[0] == results[1]
+
+    def test_fused_relu_zeroes_nan_like_relu(self):
+        bn = BatchNormLayer(2)
+        xd = np.random.default_rng(28).normal(size=(2, 2, 3, 3))
+        xd[0, 0, 1, 1] = np.nan
+        want = relu(BatchNormLayer(2).forward(t(xd), True)).data
+        got = bn.forward(t(xd), True, relu=True).data
+        assert np.all(got[:, 0] == 0.0)
+        assert got.tobytes() == want.tobytes()
+
+    def test_fused_relu_records_one_node(self, monkeypatch):
+        nodes = []
+
+        def counting_make_node(data, parents, backward_fn):
+            nodes.append(parents)
+            return make_node(data, parents, backward_fn)
+
+        monkeypatch.setattr(layers, "make_node", counting_make_node)
+        monkeypatch.setattr(tensor_module, "make_node", counting_make_node)
+        bn = BatchNormLayer(3)
+        x = t(np.random.default_rng(25).normal(size=(2, 3, 4, 4)), grad=True)
+        out = bn.forward(x, training=True, relu=True)
+        assert nodes == [(x, bn.gamma, bn.beta)]
+        assert out._parents == (x, bn.gamma, bn.beta)
+
+    @pytest.mark.parametrize("fused", [False, True])
+    def test_train_closure_keeps_only_per_channel_arrays(self, fused):
+        # x_hat is recomputed from the input in backward, not kept.
+        C = 3
+        bn = BatchNormLayer(C)
+        x = t(np.random.default_rng(26).normal(size=(2, C, 4, 4)), grad=True)
+        out = bn.forward(x, training=True, relu=fused)
+        cells = [cell.cell_contents for cell in out._backward.__closure__]
+        for value in cells:
+            if isinstance(value, Tensor):
+                assert value is x
+            elif isinstance(value, np.ndarray) and value is not out.data:
+                assert value.size <= C, value.shape
+
+    def test_eval_mode_relu_is_relu_of_the_eval_node(self):
+        rng = np.random.default_rng(27)
+        bn = self._eval_layer(rng)
+        x = t(rng.normal(size=(2, 3, 4, 5)), grad=True)
+        out = bn.forward(x, training=False, relu=True)
+        (inner,) = out._parents
+        assert inner._parents == (x, bn.gamma, bn.beta)
+        assert inner.data.tobytes() == bn.forward(x, training=False).data.tobytes()
+        assert out.data.tobytes() == relu(inner).data.tobytes()
 
 
 class TestRelu:
