@@ -15,7 +15,7 @@ makes it.
 
 Each class is then timed on its own, on seeded random data: the forward
 ``conv2d`` call, and the backward closure of the node it returns, each
-``--repeats`` times after one untimed warm-up call.  A row holds the median
+``REPEATS`` times after one untimed warm-up call.  A row holds the median
 and quartiles of both in milliseconds; the totals weight each class's
 medians by its call count, giving the conv seconds of one step.  The
 result, with the machine, is stored under ``runs[<label>]`` of
@@ -39,6 +39,7 @@ from bench_infer import machine
 
 ROOT = Path(__file__).resolve().parents[1]
 FIELDS = ("B", "C", "H", "W", "O", "kernel", "dilation", "bias", "input_grad")
+REPEATS = 15  # timed calls per class and pass
 
 
 def shape_classes() -> Counter:
@@ -68,18 +69,18 @@ def shape_classes() -> Counter:
     return calls
 
 
-def quartiles_ms(fn, repeats: int) -> dict:
+def quartiles_ms(fn) -> dict:
     fn()  # warm-up
     times = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         t0 = time.perf_counter()
         fn()
         times.append((time.perf_counter() - t0) * 1e3)
     q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
-    return {"median": median, "q1": q1, "q3": q3, "n": repeats}
+    return {"median": median, "q1": q1, "q3": q3, "n": REPEATS}
 
 
-def time_class(key: tuple, repeats: int) -> dict:
+def time_class(key: tuple) -> dict:
     import numpy as np
     from cracenet.layers import Conv2dLayer, conv2d
     from cracenet.tensor import Tensor
@@ -91,8 +92,8 @@ def time_class(key: tuple, repeats: int) -> dict:
     g = rng.normal(size=(B, O, H, W))
     node = conv2d(x, layer)
     return {
-        "fwd_ms": quartiles_ms(lambda: conv2d(x, layer), repeats),
-        "bwd_ms": quartiles_ms(lambda: node._backward(g), repeats),
+        "fwd_ms": quartiles_ms(lambda: conv2d(x, layer)),
+        "bwd_ms": quartiles_ms(lambda: node._backward(g)),
     }
 
 
@@ -100,7 +101,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--label", required=True, help="key of this run in the output")
     parser.add_argument("--src", default=str(ROOT / "src"), help="directory holding cracenet")
-    parser.add_argument("--repeats", type=int, default=15, help="timed calls per class and pass")
     args = parser.parse_args(argv)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
@@ -108,7 +108,7 @@ def main(argv=None) -> int:
 
     rows = []
     for key, calls in sorted(shape_classes().items()):
-        row = dict(zip(FIELDS, key), calls=calls, **time_class(key, args.repeats))
+        row = dict(zip(FIELDS, key), calls=calls, **time_class(key))
         rows.append(row)
         print(
             "B{B} C{C} {H}x{W} O{O} k{kernel} d{dilation} bias {bias} "
