@@ -215,13 +215,13 @@ def conv2d(x: Tensor, layer: Conv2dLayer) -> Tensor:
         out += b.data[:, None]
 
     parents = (x, w) if b is None else (x, w, b)
-    need_gx = x.requires_grad
+    xd, need_gx, has_bias = x.data, x.requires_grad, b is not None
 
     def bwd(g):
         gm = g.reshape(B, O, Ho * Wo)
         # The patch matrix is rebuilt from the input rather than kept from
         # the forward pass: it is kh*kw times the input's size.
-        cols = _patch_matrix(x.data, k, s, d)
+        cols = _patch_matrix(xd, k, s, d)
         gw = np.matmul(gm, cols).sum(axis=0).reshape(O, k, k, C).transpose(0, 3, 1, 2)
         del cols
         gx = None
@@ -237,7 +237,7 @@ def conv2d(x: Tensor, layer: Conv2dLayer) -> Tensor:
                     ] += gcols[:, :, :, i, j, :]
             gx = gxp[:, pad : pad + H, pad : pad + W, :].transpose(0, 3, 1, 2)
             gx = np.ascontiguousarray(gx)
-        if b is None:
+        if not has_bias:
             return gx, gw
         return gx, gw, gm.sum(axis=(0, 2))
 
@@ -314,13 +314,13 @@ def _conv_flat(x: Tensor, w: Tensor, b: Tensor | None, k: int, d: int) -> Tensor
         out += b.data[:, None, None]
 
     parents = (x, w) if b is None else (x, w, b)
-    need_gx = x.requires_grad
+    xd, need_gx, has_bias = x.data, x.requires_grad, b is not None
 
     def bwd(g):
         gf = np.zeros((B, O, H, Wp))
         gf[:, :, :, :W] = g
         gf = gf.reshape(B, O, n)
-        xf = _flat_padded(x.data, pad)
+        xf = _flat_padded(xd, pad)
         gw = np.zeros((k, k, O, C))
         for i, j, off in _live_taps(H, W, k, d):
             gw[i, j] = np.matmul(gf, xf[:, :, off : off + n].transpose(0, 2, 1)).sum(axis=0)
@@ -329,7 +329,7 @@ def _conv_flat(x: Tensor, w: Tensor, b: Tensor | None, k: int, d: int) -> Tensor
         gx = None
         if need_gx:
             gx = _shift_gemm(g, wt[::-1, ::-1].transpose(0, 1, 3, 2), d)
-        if b is None:
+        if not has_bias:
             return gx, gw
         return gx, gw, g.reshape(B, O, H * W).sum(axis=(0, 2))
 
@@ -362,13 +362,13 @@ def _conv1x1(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
         out += b.data[:, None]
     out = out.reshape(B, O, H, W)
     parents = (x, w) if b is None else (x, w, b)
-    need_gx = x.requires_grad
+    need_gx, has_bias = x.requires_grad, b is not None
 
     def bwd(g):
         gm = g.reshape(B, O, H * W)
         gx = np.matmul(wmat.T, gm).reshape(B, C, H, W) if need_gx else None
-        gw = np.matmul(gm, xd.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
-        if b is None:
+        gw = np.matmul(gm, xd.transpose(0, 2, 1)).sum(axis=0).reshape(O, C, 1, 1)
+        if not has_bias:
             return gx, gw
         return gx, gw, gm.sum(axis=(0, 2))
 
@@ -411,9 +411,10 @@ class BatchNormLayer(Module):
             raise DegenerateStatisticsError(
                 "train-mode batch norm needs >= 2 elements per channel"
             )
+        xd = x.data
         gamma = self.gamma.data.reshape(1, C, 1, 1)
-        mu = x.data.mean(axis=(0, 2, 3), keepdims=True)
-        out = x.data - mu
+        mu = xd.mean(axis=(0, 2, 3), keepdims=True)
+        out = xd - mu
         var = (out * out).mean(axis=(0, 2, 3), keepdims=True)
         rstd = (var + self.epsilon) ** -0.5
         out *= rstd
@@ -431,7 +432,7 @@ class BatchNormLayer(Module):
             if relu:
                 g = g * (out > 0)
             # x_hat is recomputed from the input, in the forward's order.
-            xhat = x.data - mu
+            xhat = xd - mu
             xhat *= rstd
             gbeta = g.sum(axis=(0, 2, 3))
             ggamma = (g * xhat).sum(axis=(0, 2, 3))
@@ -449,14 +450,14 @@ class BatchNormLayer(Module):
         C = self.channels
         rm = self.running_mean.reshape(1, C, 1, 1)
         rstd = 1.0 / np.sqrt(self.running_var + self.epsilon).reshape(1, C, 1, 1)
-        gamma, beta = self.gamma.data, self.beta.data
-        out = x.data - rm
+        xd, gamma, beta = x.data, self.gamma.data, self.beta.data
+        out = xd - rm
         out *= rstd
         out *= gamma.reshape(1, C, 1, 1)
         out += beta.reshape(1, C, 1, 1)
 
         def bwd(g):
-            xhat = (x.data - rm) * rstd
+            xhat = (xd - rm) * rstd
             gx = (g * gamma.reshape(1, C, 1, 1)) * rstd
             return gx, (g * xhat).sum(axis=(0, 2, 3)), g.sum(axis=(0, 2, 3))
 
@@ -584,7 +585,9 @@ def erode(mask: np.ndarray, radius: int = 1) -> np.ndarray:
     """Morphological erosion of a binary (H, W) mask.
 
     Structuring element is the (2*radius+1)^2 square; pixels outside the
-    image count as 0, so a full-frame mask loses a radius-wide border.
+    image count as 0, so a full-frame mask loses a radius-wide border.  The
+    square's minimum is separable: a running minimum down the rows of the
+    padded mask, then across its columns.
     """
     mask = np.asarray(mask, dtype=np.float64)
     if mask.ndim != 2:
@@ -594,10 +597,15 @@ def erode(mask: np.ndarray, radius: int = 1) -> np.ndarray:
     vals = np.unique(mask)
     if not np.all(np.isin(vals, (0.0, 1.0))):
         raise ValueError("erode expects a binary mask with values in {0, 1}")
-    side = 2 * radius + 1
+    H, W = mask.shape
     padded = np.pad(mask, radius)
-    win = np.lib.stride_tricks.sliding_window_view(padded, (side, side))
-    return win.min(axis=(2, 3))
+    rows = padded[:H].copy()
+    for k in range(1, 2 * radius + 1):
+        np.minimum(rows, padded[k : k + H], out=rows)
+    out = rows[:, :W].copy()
+    for k in range(1, 2 * radius + 1):
+        np.minimum(out, rows[:, k : k + W], out=out)
+    return out
 
 
 # -- plain-numpy resizing (data pipeline, not autodiff) -------------------

@@ -82,6 +82,7 @@ def bce_loss(pred: Tensor, target) -> Tensor:
     value = pix.mean(axis=axes).mean() if axes else pix.mean()
     batch = pd.shape[0] if axes else 1
     count = pd.size // batch
+    need_gp, need_gt = pred.requires_grad, target.requires_grad
 
     def bwd(g):
         # Scaled in the order of the elementwise chain (batch mean,
@@ -90,10 +91,10 @@ def bce_loss(pred: Tensor, target) -> Tensor:
         p = np.clip(pd, lo, hi)
         q = 1.0 - p
         gp = gt = None
-        if pred.requires_grad:
+        if need_gp:
             gp = gm * td / p - gm * (1.0 - td) / q
             gp *= (pd >= lo) & (pd <= hi)
-        if target.requires_grad:
+        if need_gt:
             gt = gm * np.log(p) - gm * np.log(q)
         return gp, gt
 
@@ -110,6 +111,7 @@ def iou_loss(pred: Tensor, target) -> Tensor:
     loss = 1.0 - inter / union
     value = loss.mean() if axes else loss
     batch = pd.shape[0] if axes else 1
+    need_gp, need_gt = pred.requires_grad, target.requires_grad
 
     def bwd(g):
         # d(1 - I/U) = -dI/U + I dU/U^2, per image, with dI = t dp and
@@ -125,8 +127,8 @@ def iou_loss(pred: Tensor, target) -> Tensor:
             return g_inter * other + g_union * (1.0 - other)
 
         return (
-            side(td) if pred.requires_grad else None,
-            side(pd) if target.requires_grad else None,
+            side(td) if need_gp else None,
+            side(pd) if need_gt else None,
         )
 
     return make_node(value, (pred, target), bwd)

@@ -1,19 +1,24 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Every value in this package is carried by a :class:`Tensor`: a contiguous
-row-major float64 array, an optional gradient of the same shape, and a
-record of the operation that produced it.  Recorded operations link into a
-DAG; :func:`backward` walks that DAG exactly once in reverse topological
-order and accumulates d(loss)/d(x) into the ``grad`` of every *leaf* that
-requires gradients (a tensor made by the caller, not by an op, such as a
+row-major float64 array, an optional gradient of the same shape, and the
+graph :class:`Node` of the operation that produced it.  A node holds its
+parents' nodes and a backward rule, never a tensor's value: each rule
+captures only the arrays, shapes and flags it reads (PyTorch's "saved
+tensors", Paszke et al., 2017).  So an intermediate that no rule reads,
+such as the result of a sum or a product whose operands are kept anyway,
+is freed as soon as the forward code drops the tensor.  :func:`backward`
+walks the node DAG exactly once in reverse topological order and
+accumulates d(loss)/d(x) into the ``grad`` of every *leaf* that requires
+gradients (a tensor made by the caller, not by an op, such as a
 parameter).  Interior nodes pass their upstream gradient on and keep no
 ``grad``.
 
 Inference needs no graph.  Inside ``with no_grad():`` every op computes
-its result as usual but records no parents and no backward rule, so the
-result does not require gradients and the intermediates are freed as soon
-as nothing refers to them.  The block nests and restores the previous
-state on exit, exceptions included.  The state lives in a
+its result as usual but records no node, so the result does not require
+gradients and the intermediates are freed as soon as nothing refers to
+them.  The block nests and restores the previous state on exit,
+exceptions included.  The state lives in a
 :class:`contextvars.ContextVar`, so it is per thread: a ``no_grad`` block
 on one thread leaves graphs recorded on other threads untouched.
 
@@ -34,6 +39,7 @@ and op sequences reproduce bit-identical data and gradients.
 
 from __future__ import annotations
 
+import weakref
 from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Iterable, Iterator, Sequence
@@ -43,6 +49,7 @@ import numpy as np
 __all__ = [
     "Tensor",
     "GraphError",
+    "Node",
     "ShapeError",
     "as_tensor",
     "backward",
@@ -71,10 +78,31 @@ class GraphError(RuntimeError):
     """The autodiff graph was used outside its contract."""
 
 
+class Node:
+    """One vertex of the autodiff graph: what ``backward`` needs, no values.
+
+    ``parents`` has one entry per input of the recorded op: the input's
+    node, or None for an input that needs no gradient.  ``backward_fn``
+    maps the upstream gradient to one gradient per input and holds only
+    the arrays, shapes and flags it reads.  A leaf's node has no parents
+    and no rule; ``leaf`` is a weak reference to the tensor whose ``grad``
+    receives its gradient, and is None on every other node.  It is weak
+    so that a leaf and its node form no reference cycle: a dropped model's
+    parameters are freed at once, not at the next cyclic collection.
+    """
+
+    __slots__ = ("parents", "backward_fn", "leaf")
+
+    def __init__(self, parents: tuple, backward_fn, leaf: weakref.ref | None = None):
+        self.parents = parents
+        self.backward_fn = backward_fn
+        self.leaf = leaf
+
+
 class Tensor:
     """N-dimensional float64 array with optional gradient tracking."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "grad", "_node", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -83,8 +111,20 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward = None
+        # The op that made this tensor, or a leaf's node once an op used it.
+        self._node: Node | None = None
+
+    @property
+    def _backward(self):
+        """The backward rule of the op that made this tensor (None on a
+        leaf or an unrecorded result); assigning it replaces the rule."""
+        return self._node.backward_fn if self._node is not None else None
+
+    @_backward.setter
+    def _backward(self, fn) -> None:
+        if self._node is None or self._node.leaf is not None:
+            raise GraphError("only a recorded op's tensor has a backward rule")
+        self._node.backward_fn = fn
 
     # -- introspection -------------------------------------------------
 
@@ -184,18 +224,29 @@ def no_grad() -> Iterator[None]:
         _recording.reset(token)
 
 
+def _node_of(t: Tensor) -> Node | None:
+    """``t``'s graph node, made on first use for a leaf; None for a tensor
+    that needs no gradient."""
+    if not t.requires_grad:
+        return None
+    if t._node is None:
+        t._node = Node((), None, weakref.ref(t))
+    return t._node
+
+
 def make_node(data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
-    """Wrap a forward result, recording parents and a backward rule.
+    """Wrap a forward result, recording its parents' nodes and a backward rule.
 
     ``backward_fn(upstream)`` must return one gradient array (or None) per
     parent.  Returned arrays may alias ``upstream``; the backward pass never
-    mutates them in place.  Under :func:`no_grad` nothing is recorded.
+    mutates them in place.  The rule must capture the arrays, shapes and
+    flags it reads and never a ``Tensor``: the graph keeps the parents'
+    nodes, not their values.  Under :func:`no_grad` nothing is recorded.
     """
     out = Tensor(data)
     if _recording.get() and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = backward_fn
+        out._node = Node(tuple(_node_of(p) for p in parents), backward_fn)
     return out
 
 
@@ -225,9 +276,10 @@ def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _check_broadcast(a, b, "add")
+    sa, sb = a.shape, b.shape
 
     def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return _unbroadcast(g, sa), _unbroadcast(g, sb)
 
     return make_node(a.data + b.data, (a, b), bwd)
 
@@ -235,9 +287,10 @@ def add(a, b) -> Tensor:
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _check_broadcast(a, b, "sub")
+    sa, sb = a.shape, b.shape
 
     def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return _unbroadcast(g, sa), _unbroadcast(-g, sb)
 
     return make_node(a.data - b.data, (a, b), bwd)
 
@@ -246,9 +299,10 @@ def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _check_broadcast(a, b, "mul")
     ad, bd = a.data, b.data
+    sa, sb = a.shape, b.shape
 
     def bwd(g):
-        return _unbroadcast(g * bd, a.shape), _unbroadcast(g * ad, b.shape)
+        return _unbroadcast(g * bd, sa), _unbroadcast(g * ad, sb)
 
     return make_node(ad * bd, (a, b), bwd)
 
@@ -257,11 +311,12 @@ def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _check_broadcast(a, b, "div")
     ad, bd = a.data, b.data
+    sa, sb = a.shape, b.shape
 
     def bwd(g):
         return (
-            _unbroadcast(g / bd, a.shape),
-            _unbroadcast(-g * ad / (bd * bd), b.shape),
+            _unbroadcast(g / bd, sa),
+            _unbroadcast(-g * ad / (bd * bd), sb),
         )
 
     return make_node(ad / bd, (a, b), bwd)
@@ -376,7 +431,7 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     def bwd(g):
         sl = [slice(None)] * g.ndim
         outs = []
-        for i in range(len(ts)):
+        for i in range(len(sizes)):
             sl[axis] = slice(offsets[i], offsets[i + 1])
             outs.append(g[tuple(sl)])
         return tuple(outs)
@@ -436,50 +491,64 @@ def backward(loss: Tensor) -> None:
     ``loss`` must be a scalar (size 1).  Only leaves (tensors without a
     backward rule) receive ``grad``; interior nodes keep none.  Repeated
     calls without :func:`zero_grads` accumulate into existing gradients.
-    The call frees nothing: the graph, with every node's output and
-    whatever its backward rule keeps, lives as long as the caller holds
-    ``loss`` or any other output of the graph.
+    The graph keeps only the nodes and the arrays their backward rules
+    captured, never an output that no rule reads.  The call frees none of
+    it: the graph lives as long as the caller holds ``loss`` or any other
+    output of the graph, so it can be walked again.
     """
     if not isinstance(loss, Tensor):
         raise GraphError("backward expects a Tensor")
     if loss.size != 1:
         raise GraphError(f"backward requires a scalar loss, got shape {loss.shape}")
-    if not loss.requires_grad:
+    root = _node_of(loss)
+    if root is None:
         return
 
     # Iterative post-order DFS: parents land before children, so the
     # reversed order visits each node exactly once with its full upstream.
-    order: list[Tensor] = []
-    seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    order: list[Node] = []
+    seen: set[Node] = set()
+    stack: list[tuple[Node, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
             order.append(node)
             continue
-        if id(node) in seen:
+        if node in seen:
             continue
-        seen.add(id(node))
+        seen.add(node)
         stack.append((node, True))
-        for p in node._parents:
-            if p.requires_grad and id(p) not in seen:
+        for p in node.parents:
+            if p is not None and p not in seen:
                 stack.append((p, False))
 
-    upstream: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    upstream: dict[Node, np.ndarray] = {root: np.ones_like(loss.data)}
+    # Nodes whose upstream array this loop allocated.  Only those are added
+    # into in place: an array a backward rule returned may alias its own
+    # upstream, another parent's entry or a captured value.
+    owned: set[Node] = set()
     for node in reversed(order):
-        g = upstream.pop(id(node), None)
+        g = upstream.pop(node, None)
         if g is None:
             continue
-        if node._backward is None:
-            node.grad = g.copy() if node.grad is None else node.grad + g
-            continue
-        parent_grads = node._backward(g)
-        for parent, pg in zip(node._parents, parent_grads):
-            if pg is None or not parent.requires_grad:
+        fresh = node in owned
+        owned.discard(node)
+        if node.backward_fn is None:
+            leaf = node.leaf()
+            if leaf is None:
                 continue
-            key = id(parent)
-            if key in upstream:
-                # Fresh allocation: stored arrays may alias other entries.
-                upstream[key] = upstream[key] + pg
+            if leaf.grad is None:
+                leaf.grad = g if fresh else g.copy()
             else:
-                upstream[key] = pg
+                leaf.grad = leaf.grad + g
+            continue
+        for parent, pg in zip(node.parents, node.backward_fn(g)):
+            if pg is None or parent is None:
+                continue
+            if parent in owned:
+                upstream[parent] += pg
+            elif parent in upstream:
+                upstream[parent] = upstream[parent] + pg
+                owned.add(parent)
+            else:
+                upstream[parent] = pg

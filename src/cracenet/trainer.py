@@ -388,6 +388,7 @@ def _train_step(model, params, velocities, samples, step, cfg, loss_cfg) -> dict
 
     outputs = model.forward(image_t, depth_t, training=True)
     total, parts = _assemble_losses(outputs, np.stack(gts), np.stack(edges), loss_cfg, cfg.mode)
+    del outputs  # no backward rule reads the logits
     if not np.isfinite(total.item()):
         raise DivergenceError(f"loss became non-finite at step {step}")
 

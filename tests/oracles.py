@@ -61,39 +61,40 @@ def check_gradients(
 
 
 def backward_every_node(loss):
-    """d(loss)/d(node) for every node that requires grad, keyed by id.
+    """d(loss)/d(node) for every graph node that requires grad, keyed by node.
 
     The reverse-mode walk as it was before ``backward`` kept gradients on
     leaves only: every node, interior or leaf, receives a copy of its full
-    upstream gradient.  It touches no ``grad`` field.
+    upstream gradient, and every extra contribution is summed into a fresh
+    array.  It touches no ``grad`` field.
     """
-    order, seen, stack = [], set(), [(loss, False)]
+    root = loss._node
+    order, seen, stack = [], set(), [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
             order.append(node)
             continue
-        if id(node) in seen:
+        if node in seen:
             continue
-        seen.add(id(node))
+        seen.add(node)
         stack.append((node, True))
-        for p in node._parents:
-            if p.requires_grad and id(p) not in seen:
+        for p in node.parents:
+            if p is not None and p not in seen:
                 stack.append((p, False))
     grads = {}
-    upstream = {id(loss): np.ones_like(loss.data)}
+    upstream = {root: np.ones_like(loss.data)}
     for node in reversed(order):
-        g = upstream.pop(id(node), None)
+        g = upstream.pop(node, None)
         if g is None:
             continue
-        grads[id(node)] = g.copy()
-        if node._backward is None:
+        grads[node] = g.copy()
+        if node.backward_fn is None:
             continue
-        for parent, pg in zip(node._parents, node._backward(g)):
-            if pg is None or not parent.requires_grad:
+        for parent, pg in zip(node.parents, node.backward_fn(g)):
+            if pg is None or parent is None:
                 continue
-            key = id(parent)
-            upstream[key] = upstream[key] + pg if key in upstream else pg
+            upstream[parent] = upstream[parent] + pg if parent in upstream else pg
     return grads
 
 
@@ -245,6 +246,14 @@ def erode_bruteforce(mask, radius=1):
                     break
             out[i, j] = 1.0 if keep else 0.0
     return out
+
+
+def erode_windows(mask, radius=1):
+    """``layers.erode`` as it was: the minimum of every (2r+1)^2 sliding
+    window of the zero-padded mask."""
+    side = 2 * radius + 1
+    padded = np.pad(mask, radius)
+    return np.lib.stride_tricks.sliding_window_view(padded, (side, side)).min(axis=(2, 3))
 
 
 # -- bilinear interpolation, evaluated from the formula ----------------------------

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cracenet.crace import ConfigError, CraceConfig, CraceModule
-from cracenet.tensor import Tensor, ShapeError
+from cracenet.tensor import Node, Tensor, ShapeError
 from oracles import check_gradients
 
 
@@ -221,3 +221,37 @@ class TestFullModule:
         m = CraceModule(3, 4, tiny_cfg(), rng=np.random.default_rng(23))
         f_l, f_g = rand((1, 3, 8, 8)), rand((1, 4, 4, 4), 1)
         assert np.array_equal(m.forward(f_l, f_g).data, m.forward(f_l, f_g).data)
+
+
+def _held(value):
+    """``value`` and, inside tuples, lists and dicts, everything it holds."""
+    yield value
+    if isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _held(item)
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _held(item)
+
+
+class TestGraphRetention:
+    def test_no_backward_rule_holds_a_tensor(self):
+        # Train-mode RGB-D module with every stage on: the rules capture
+        # arrays, shapes and flags, never a tensor and so never its value.
+        m = CraceModule(5, 6, tiny_cfg(n=8), rng=np.random.default_rng(4), in_depth=3)
+        f_local = Tensor(np.random.default_rng(5).normal(size=(2, 5, 32, 32)), requires_grad=True)
+        out = m.forward(f_local, rand((2, 6, 16, 16), 6), rand((2, 3, 32, 32), 7), training=True)
+        nodes, seen, stack = [], set(), [out._node]
+        while stack:
+            node = stack.pop()
+            if node is None or node in seen:
+                continue
+            seen.add(node)
+            nodes.append(node)
+            stack.extend(node.parents)
+        rules = [n.backward_fn for n in nodes if n.backward_fn is not None]
+        assert len(rules) > 25
+        for rule in rules:
+            for cell in rule.__closure__ or ():
+                held = list(_held(cell.cell_contents))
+                assert not any(isinstance(v, (Tensor, Node)) for v in held), rule.__qualname__

@@ -103,16 +103,16 @@ EDGE_PROBS = (
 
 
 def _interior_nodes(loss):
-    """Every node reachable from ``loss`` that has a backward rule."""
-    found, stack, seen = [], [loss], set()
+    """Every graph node reachable from ``loss`` that has a backward rule."""
+    found, stack, seen = [], [loss._node], set()
     while stack:
         node = stack.pop()
-        if id(node) in seen:
+        if node is None or node in seen:
             continue
-        seen.add(id(node))
-        if node._backward is not None:
+        seen.add(node)
+        if node.backward_fn is not None:
             found.append(node)
-        stack.extend(node._parents)
+        stack.extend(node.parents)
     return found
 
 
@@ -167,11 +167,13 @@ class TestFusedAgainstComposed:
     def test_one_node_keeping_no_per_pixel_array(self, which, shape):
         rng = np.random.default_rng(10)
         pred = t(rng.uniform(size=shape), grad=True)
-        loss = self.CASES[which][0](pred, (rng.uniform(size=shape) > 0.5).astype(float))
-        assert _interior_nodes(loss) == [loss]
+        target = (rng.uniform(size=shape) > 0.5).astype(float)
+        loss = self.CASES[which][0](pred, target)
+        assert _interior_nodes(loss) == [loss._node]
         cells = [cell.cell_contents for cell in loss._backward.__closure__]
+        assert not any(isinstance(v, Tensor) for v in cells)
         held = [v for v in cells if isinstance(v, np.ndarray) and v.size == pred.size]
-        inputs = [node.data for node in loss._parents]
+        inputs = [pred.data, target]
         assert all(any(a is x for x in inputs) for a in held)
 
     def test_clamp_mask_includes_both_bounds(self):

@@ -1,4 +1,7 @@
+import gc
+import itertools
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -6,12 +9,14 @@ from hypothesis import given, settings, strategies as st
 
 from cracenet.crace import CraceConfig
 from cracenet.network import EncoderConfig, NetworkConfig, SodNetwork
+from cracenet import tensor as tensor_module
 from cracenet.tensor import (
     Tensor,
     GraphError,
     ShapeError,
     backward,
     concat_channels,
+    make_node,
     no_grad,
     sigmoid,
     relu,
@@ -220,16 +225,33 @@ def test_shape_closure_reductions():
 
 
 def _graph_nodes(root):
-    """Every tensor reachable from ``root`` through recorded parents."""
-    nodes, seen, stack = [], set(), [root]
+    """Every node reachable from tensor ``root`` through recorded parents."""
+    nodes, seen, stack = [], set(), [root._node]
     while stack:
         node = stack.pop()
-        if id(node) in seen:
+        if node is None or node in seen:
             continue
-        seen.add(id(node))
+        seen.add(node)
         nodes.append(node)
-        stack.extend(node._parents)
+        stack.extend(node.parents)
     return nodes
+
+
+def _made_by_ops(fn):
+    """``fn()`` and every tensor that an op of ``tensor`` made while it ran."""
+    made = []
+
+    def recording_make_node(data, parents, backward_fn):
+        out = make_node(data, parents, backward_fn)
+        made.append(out)
+        return out
+
+    tensor_module.make_node = recording_make_node
+    try:
+        result = fn()
+    finally:
+        tensor_module.make_node = make_node
+    return result, made
 
 
 def _deterministic_graph():
@@ -242,30 +264,108 @@ def _deterministic_graph():
 
 class TestLeafGradients:
     def test_interior_nodes_keep_no_grad(self):
-        loss, leaves = _deterministic_graph()
+        (loss, leaves), interior = _made_by_ops(_deterministic_graph)
         backward(loss)
-        interior = [n for n in _graph_nodes(loss) if n._backward is not None]
         assert len(interior) > 5
-        assert all(n.grad is None for n in interior)
+        assert all(n._backward is not None and n.grad is None for n in interior)
         assert all(leaf.grad is not None for leaf in leaves)
+        reached = {id(n.leaf()) for n in _graph_nodes(loss) if n.backward_fn is None}
+        assert reached == {id(leaf) for leaf in leaves}
 
     def test_leaf_grads_equal_the_every_node_walk(self):
         loss, leaves = _deterministic_graph()
         want = backward_every_node(loss)
         backward(loss)
         for leaf in leaves:
-            assert leaf.grad.tobytes() == want[id(leaf)].tobytes()
+            assert leaf.grad.tobytes() == want[leaf._node].tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_random_graphs_leaf_grads_equal_the_every_node_walk(self, seed):
         loss_fn, leaves = _random_graph(np.random.default_rng(seed))
-        loss = loss_fn()
+        loss, made = _made_by_ops(loss_fn)
         want = backward_every_node(loss)
         backward(loss)
         for leaf in leaves:
-            assert leaf.grad.tobytes() == want[id(leaf)].tobytes()
-        assert all(n.grad is None for n in _graph_nodes(loss) if n._backward is not None)
+            assert leaf.grad.tobytes() == want[leaf._node].tobytes()
+        assert all(n.grad is None for n in made if n._backward is not None)
+
+
+class TestGraphKeepsOnlyWhatBackwardReads:
+    def test_a_value_no_rule_reads_dies_with_its_tensor(self):
+        rng = np.random.default_rng(5)
+        a, b, c = (t(rng.normal(size=(3, 4))) for _ in range(3))
+        u = a * b
+        y = u + c
+        gone = weakref.ref(u.data)
+        del u
+        assert gone() is None
+        zero_grads([a, b, c])
+        backward(y.sum())
+        assert a.grad.tobytes() == b.data.tobytes()
+        assert b.grad.tobytes() == a.data.tobytes()
+        assert np.array_equal(c.grad, np.ones((3, 4)))
+
+    def test_a_used_leaf_is_freed_without_a_cyclic_collection(self):
+        x = t([1.0, 2.0])
+        backward((x * x).sum())
+        gone = weakref.ref(x)
+        gc.disable()
+        try:
+            del x
+            assert gone() is None
+        finally:
+            gc.enable()
+
+    def test_node_fields_of_a_leaf_and_an_op(self):
+        x = t([1.0, 2.0])
+        y = x * 3.0
+        assert x._node.leaf() is x and x._node.backward_fn is None
+        assert y._node.leaf is None and y._node.parents[1] is None
+        with pytest.raises(GraphError):
+            x._backward = lambda g: (g,)
+
+
+class TestGradientAccumulation:
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(4))))
+    @settings(max_examples=5, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), broadcast=st.booleans())
+    def test_four_consumers_match_the_every_node_walk(self, order, seed, broadcast):
+        # h has four consumers and five contributions, summed in every order.
+        # y's rule hands one upstream array to both h and k; in some orders
+        # h gets more after that while k still waits, so adding into that
+        # array in place would corrupt k's gradient.
+        rng = np.random.default_rng(seed)
+        a = t(rng.normal(size=(3, 4)))
+        b = t(rng.normal(size=(1, 4) if broadcast else (3, 4)))
+        c = t(rng.normal(size=(3, 4)))
+        h = a * b
+        k = c * a
+        y = h + k
+        terms = [
+            lambda: (y * y).sum(),
+            lambda: (h * h).mean(),
+            lambda: (sigmoid(h) * k).sum(),
+            lambda: (h.reshape(12) * 2.0).sum(),
+        ]
+        loss = terms[order[0]]()
+        for i in order[1:]:
+            loss = loss + terms[i]()
+        want = backward_every_node(loss)
+        zero_grads([a, b, c])
+        backward(loss)
+        for leaf in (a, b, c):
+            assert leaf.grad.tobytes() == want[leaf._node].tobytes()
+
+    def test_leaf_grad_is_a_fresh_array(self):
+        x = t([1.0, 2.0])
+        loss = (x * x + x).sum()
+        backward(loss)
+        first = x.grad
+        kept = first.copy()
+        backward(loss)
+        assert first.tobytes() == kept.tobytes()
+        assert np.array_equal(x.grad, 2.0 * kept)
 
 
 class TestNoGrad:
@@ -292,7 +392,7 @@ class TestNoGrad:
             loss = (sigmoid(out["saliency_logits"][0]) * x.sum()).mean()
         monkeypatch.undo()
         assert len(made) > 100
-        assert all(n._backward is None and n._parents == () for n in made)
+        assert all(n._node is None for n in made)
         assert not loss.requires_grad
 
     def test_restores_recording_after_an_exception(self):
@@ -309,7 +409,8 @@ class TestNoGrad:
                 assert (x * x)._backward is None
             assert (x * x)._backward is None
         y = x * x
-        assert y._parents == (x, x)
+        assert y._node.parents == (x._node, x._node)
+        assert x._node.leaf() is x and x._node.parents == ()
         assert y._backward is not None
 
     def test_other_threads_still_record(self):

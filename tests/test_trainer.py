@@ -315,8 +315,8 @@ class TestTrainLoop:
         assert not (tmp_path / "resumed").exists()
 
     def test_no_tensor_of_a_step_outlives_it(self, dataset, tmp_path, monkeypatch):
-        # Tensor has no weakref slot, so watch each logit's data array, which
-        # only the tensor and the rest of its step's graph refer to.
+        # Watch each logit's data array, which only the tensor and the rest
+        # of its step's graph may refer to.
         held = []
 
         def assert_graph_freed():
