@@ -46,7 +46,9 @@ print(f"autodiff {w.grad[0, 0]:+.8f}  vs  finite difference {fd:+.8f}")
 assert abs(w.grad[0, 0] - fd) < 1e-6
 
 # %%
-# Gradients keep accumulating until zero_grads resets them.
+# Gradients keep accumulating until zero_grads resets them.  backward
+# consumes the graph it walks, so the loss is computed again first.
 
+loss = ((sigmoid(x * w) - y) ** 2.0).mean()
 backward(loss)
 print("after second backward, grad doubled:", w.grad[0, 0] / fd)

@@ -12,7 +12,10 @@ walks the node DAG exactly once in reverse topological order and
 accumulates d(loss)/d(x) into the ``grad`` of every *leaf* that requires
 gradients (a tensor made by the caller, not by an op, such as a
 parameter).  Interior nodes pass their upstream gradient on and keep no
-``grad``.
+``grad``.  The walk consumes the graph, as PyTorch's autograd does by
+default: each node's rule is dropped as the walk reaches it, so the arrays
+it captured are freed during backward rather than when the caller lets go
+of the loss, and a second walk of the same graph raises :class:`GraphError`.
 
 Inference needs no graph.  Inside ``with no_grad():`` every op computes
 its result as usual but records no node, so the result does not require
@@ -84,7 +87,9 @@ class Node:
     ``parents`` has one entry per input of the recorded op: the input's
     node, or None for an input that needs no gradient.  ``backward_fn``
     maps the upstream gradient to one gradient per input and holds only
-    the arrays, shapes and flags it reads.  A leaf's node has no parents
+    the arrays, shapes and flags it reads; once :func:`backward` has
+    walked the node, it is a sentinel that raises :class:`GraphError`,
+    and those arrays are gone.  A leaf's node has no parents
     and no rule; ``leaf`` is a weak reference to the tensor whose ``grad``
     receives its gradient, and is None on every other node.  It is weak
     so that a leaf and its node form no reference cycle: a dropped model's
@@ -485,16 +490,26 @@ def zero_grads(tensors: Iterable[Tensor]) -> None:
         t.grad = np.zeros_like(t.data)
 
 
+def _walked(upstream):
+    """The rule of every node :func:`backward` has walked."""
+    raise GraphError("graph already walked")
+
+
 def backward(loss: Tensor) -> None:
     """Populate d(loss)/dx for every leaf reachable from ``loss``.
 
     ``loss`` must be a scalar (size 1).  Only leaves (tensors without a
-    backward rule) receive ``grad``; interior nodes keep none.  Repeated
-    calls without :func:`zero_grads` accumulate into existing gradients.
-    The graph keeps only the nodes and the arrays their backward rules
-    captured, never an output that no rule reads.  The call frees none of
-    it: the graph lives as long as the caller holds ``loss`` or any other
-    output of the graph, so it can be walked again.
+    backward rule) receive ``grad``; interior nodes keep none.  Gradients
+    accumulate into existing ``grad`` arrays until :func:`zero_grads`.
+
+    A graph is walked once.  As each interior node is visited, its rule is
+    replaced by a sentinel and its upstream array is dropped, so every
+    array a rule captured is freed as soon as its last reader has run,
+    even while the caller still holds ``loss``.  Calling ``backward`` again
+    on a graph that shares any interior node with a walked one raises
+    :class:`GraphError` before any ``grad`` changes; to differentiate
+    again, run the forward again.  Leaves are not part of the walk and may
+    feed any number of graphs.
     """
     if not isinstance(loss, Tensor):
         raise GraphError("backward expects a Tensor")
@@ -516,6 +531,8 @@ def backward(loss: Tensor) -> None:
             continue
         if node in seen:
             continue
+        if node.backward_fn is _walked:
+            raise GraphError("graph already walked")
         seen.add(node)
         stack.append((node, True))
         for p in node.parents:
@@ -529,11 +546,14 @@ def backward(loss: Tensor) -> None:
     owned: set[Node] = set()
     for node in reversed(order):
         g = upstream.pop(node, None)
+        rule = node.backward_fn
+        if rule is not None:
+            node.backward_fn = _walked
         if g is None:
             continue
         fresh = node in owned
         owned.discard(node)
-        if node.backward_fn is None:
+        if rule is None:
             leaf = node.leaf()
             if leaf is None:
                 continue
@@ -542,7 +562,7 @@ def backward(loss: Tensor) -> None:
             else:
                 leaf.grad = leaf.grad + g
             continue
-        for parent, pg in zip(node.parents, node.backward_fn(g)):
+        for parent, pg in zip(node.parents, rule(g)):
             if pg is None or parent is None:
                 continue
             if parent in owned:

@@ -4,7 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 from cracenet.data import save_gray
 from cracenet.metrics import (
+    _WF_KERNEL,
     DatasetMismatchError,
+    _border_norm,
+    _conv_same,
     _nearest_fg,
     e_measure,
     evaluate_dataset,
@@ -146,7 +149,7 @@ def fg_masks(draw):
 class TestNearestForeground:
     @settings(max_examples=300, deadline=None)
     @given(fg_masks())
-    def test_boundary_search_equals_full_scan(self, fg):
+    def test_separable_transform_equals_full_scan(self, fg):
         dist, near_r, near_c = _nearest_fg(fg)
         ref_dist, ref_r, ref_c = nearest_fg_bruteforce(fg)
         assert np.array_equal(dist, ref_dist)
@@ -158,6 +161,11 @@ class TestNearestForeground:
         fg[0, 1] = fg[1, 0] = fg[1, 2] = fg[2, 1] = True
         _, near_r, near_c = _nearest_fg(fg)
         assert (near_r[1, 1], near_c[1, 1]) == (0, 1)
+        # Equal distance from two columns: the higher row wins across columns.
+        fg = np.zeros((5, 3), dtype=bool)
+        fg[4, 2] = fg[2, 0] = True
+        dist, near_r, near_c = _nearest_fg(fg)
+        assert (near_r[2, 2], near_c[2, 2], dist[2, 2]) == (2, 0, 2.0)
 
 
 class TestWeightedF:
@@ -182,6 +190,12 @@ class TestWeightedF:
             assert weighted_f([pred], [gt]) == pytest.approx(
                 weighted_f_bruteforce(pred, gt), abs=1e-9
             )
+
+    def test_border_normalizer_is_cached_read_only_and_exact(self):
+        norm = _border_norm((9, 13))
+        assert _border_norm((9, 13)) is norm
+        assert not norm.flags.writeable
+        assert norm.tobytes() == _conv_same(np.ones((9, 13)), _WF_KERNEL).tobytes()
 
     def test_skips_empty_gt_images(self):
         pred, gt = toy_pair(15, 5)

@@ -158,9 +158,8 @@ class TestBackward:
     def test_repeated_backward_accumulates(self):
         x = t([2.0])
         zero_grads([x])
-        loss = (x * x).sum()
-        backward(loss)
-        backward(loss)
+        backward((x * x).sum())
+        backward((x * x).sum())
         assert np.array_equal(x.grad, [8.0])
 
     def test_reused_node_sums_both_paths(self):
@@ -317,6 +316,36 @@ class TestGraphKeepsOnlyWhatBackwardReads:
         finally:
             gc.enable()
 
+    def test_backward_frees_what_only_a_rule_holds(self):
+        a = t(np.random.default_rng(6).normal(size=(3, 4)))
+        s = sigmoid(a)
+        y = s.data.copy()
+        gone = weakref.ref(s.data)
+        loss = (s * s).sum()
+        del s
+        assert gone() is not None
+        backward(loss)
+        assert gone() is None
+        assert a.grad.tobytes() == ((y + y) * y * (1.0 - y)).tobytes()
+
+    def test_a_walked_graph_raises_and_changes_no_grad(self):
+        rng = np.random.default_rng(7)
+        x, w, c = (t(rng.normal(size=(2, 3))) for _ in range(3))
+        h = x * w
+        loss = (h * h).sum()
+        backward(loss)
+        c.grad = np.zeros((2, 3))
+        before = [leaf.grad.copy() for leaf in (x, w, c)]
+        with pytest.raises(GraphError, match="already walked"):
+            backward(loss)
+        # c comes before h's walked node in this walk's order.
+        with pytest.raises(GraphError, match="already walked"):
+            backward((c * h).sum())
+        with pytest.raises(GraphError, match="already walked"):
+            loss._node.backward_fn(np.ones(()))
+        for leaf, grad in zip((x, w, c), before):
+            assert leaf.grad.tobytes() == grad.tobytes()
+
     def test_node_fields_of_a_leaf_and_an_op(self):
         x = t([1.0, 2.0])
         y = x * 3.0
@@ -359,11 +388,10 @@ class TestGradientAccumulation:
 
     def test_leaf_grad_is_a_fresh_array(self):
         x = t([1.0, 2.0])
-        loss = (x * x + x).sum()
-        backward(loss)
+        backward((x * x + x).sum())
         first = x.grad
         kept = first.copy()
-        backward(loss)
+        backward((x * x + x).sum())
         assert first.tobytes() == kept.tobytes()
         assert np.array_equal(x.grad, 2.0 * kept)
 
