@@ -1,4 +1,4 @@
-"""Stride-1 convolution time per shape class of one ``train_rgbd256`` step.
+"""Convolution time per shape class of one ``train_rgbd256`` step.
 
 Run from the root of a checkout::
 
@@ -8,10 +8,9 @@ Run from the root of a checkout::
 The shape classes are read off one real training step: ``trainer.train``
 runs one RGB-D step at 256x256, batch 2, scene seed 0, multi-scale off (the
 ``train_rgbd256`` benchmark workload's shapes) while ``layers.conv2d`` is
-wrapped to record every call with stride 1 and a kernel larger than 1.  A
-class is the input shape, output channels, kernel, dilation, bias and
-whether the input needs a gradient; its ``calls`` are how often one step
-makes it.
+wrapped to record every call.  A class is the input shape, output
+channels, kernel, stride, dilation, bias and whether the input needs a
+gradient; its ``calls`` are how often one step makes it.
 
 Each class is then timed on its own, on seeded random data: the forward
 ``conv2d`` call, and the backward closure of the node it returns, each
@@ -38,12 +37,12 @@ from pathlib import Path
 from bench_infer import machine
 
 ROOT = Path(__file__).resolve().parents[1]
-FIELDS = ("B", "C", "H", "W", "O", "kernel", "dilation", "bias", "input_grad")
+FIELDS = ("B", "C", "H", "W", "O", "kernel", "stride", "dilation", "bias", "input_grad")
 REPEATS = 15  # timed calls per class and pass
 
 
 def shape_classes() -> Counter:
-    """Calls per step of each stride-1, k > 1 convolution class."""
+    """Calls per step of each convolution class."""
     from cracenet import data, layers, trainer
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -56,9 +55,8 @@ def shape_classes() -> Counter:
     conv2d = layers.conv2d
 
     def recording_conv2d(x, layer):
-        if layer.stride == 1 and layer.kernel > 1:
-            calls[(*x.shape, layer.out_channels, layer.kernel, layer.dilation,
-                   layer.bias is not None, x.requires_grad)] += 1
+        calls[(*x.shape, layer.out_channels, layer.kernel, layer.stride, layer.dilation,
+               layer.bias is not None, x.requires_grad)] += 1
         return conv2d(x, layer)
 
     layers.conv2d = recording_conv2d
@@ -85,12 +83,12 @@ def time_class(key: tuple) -> dict:
     from cracenet.layers import Conv2dLayer, conv2d
     from cracenet.tensor import Tensor
 
-    B, C, H, W, O, k, d, bias, input_grad = key
+    B, C, H, W, O, k, s, d, bias, input_grad = key
     rng = np.random.default_rng(0)
-    layer = Conv2dLayer(C, O, k, 1, d, bias=bias, rng=rng)
+    layer = Conv2dLayer(C, O, k, s, d, bias=bias, rng=rng)
     x = Tensor(rng.normal(size=(B, C, H, W)), requires_grad=input_grad)
-    g = rng.normal(size=(B, O, H, W))
     node = conv2d(x, layer)
+    g = rng.normal(size=node.shape)
     return {
         "fwd_ms": quartiles_ms(lambda: conv2d(x, layer)),
         "bwd_ms": quartiles_ms(lambda: node._backward(g)),
@@ -111,7 +109,7 @@ def main(argv=None) -> int:
         row = dict(zip(FIELDS, key), calls=calls, **time_class(key))
         rows.append(row)
         print(
-            "B{B} C{C} {H}x{W} O{O} k{kernel} d{dilation} bias {bias} "
+            "B{B} C{C} {H}x{W} O{O} k{kernel} s{stride} d{dilation} bias {bias} "
             "input_grad {input_grad} x{calls}: ".format(**row)
             + f"fwd {row['fwd_ms']['median']:.2f} ms, bwd {row['bwd_ms']['median']:.2f} ms",
             flush=True,
@@ -125,10 +123,7 @@ def main(argv=None) -> int:
     out = ROOT / "BENCH_conv.json"
     doc = json.loads(out.read_text()) if out.exists() else {}
     doc.setdefault("script", "scripts/bench_conv.py")
-    doc.setdefault(
-        "model",
-        "stride-1 k>1 conv2d classes of one train_rgbd256 step (RGB-D, 256x256, batch 2)",
-    )
+    doc["model"] = "conv2d classes of one train_rgbd256 step (RGB-D, 256x256, batch 2)"
     doc.setdefault("runs", {})
     doc["runs"][args.label] = {"machine": machine(), "classes": rows, "totals": totals}
     out.write_text(json.dumps(doc, indent=2) + "\n")

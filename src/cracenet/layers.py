@@ -6,32 +6,28 @@ ceil(H/s).  Forward passes never mutate parameters; updates are the
 trainer's job.
 
 A 1x1 stride-1 convolution is one batched matrix product on the NCHW
-input.  A larger stride-1 convolution is a flat-shift implicit GEMM
-(Chetlur et al., 2014): the input is copied once into a zero-padded
-(B, C, Hp*Wp + slack) buffer whose rows lie end to end, where kernel tap
-(i, j) is the contiguous slice at offset i*d*Wp + j*d, so the output is
-the sum over taps of the tap's (O, C) weight times its slice, over H*Wp
-columns of which the 2*pad past each row's end are dropped.  Its input
-gradient is the same convolution of the upstream gradient by the
-transposed taps in reverse order, and the weight gradient of a tap is the
-upstream gradient, zero in the dropped columns, times the tap's slice.  A
-tap that reads only padding (a small map under a large dilation) adds
-exact zeros; it is skipped and its weight gradient is 0.  No array larger
-than the padded input or the padded output is built.
+input.  Every other convolution is a flat-shift implicit GEMM (Chetlur et
+al., 2014) over a polyphase copy of the zero-padded input.  With
+R = (k-1)*d // s, phase (a, b) holds the padded pixels [a::s, b::s] as
+rows of width Wq = Wo + R laid end to end, followed by R slack columns.
+Output pixel (r, c) sits at column r*Wq + c, and kernel tap (i, j) reads
+it from phase (i*d % s, j*d % s) at offset (i*d // s)*Wq + j*d // s, so
+the output is the sum over taps of the tap's (O, C) weight times a
+contiguous slice of Ho*Wq columns, of which the R past each row's end are
+dropped.  Stride 1 is the one-phase case, and only the phases some tap
+reads are copied: a 1x1 stride-2 convolution reads one of four.  A tap
+that reads only padding (a small map under a large dilation) adds exact
+zeros; it is skipped and its weight gradient is 0.
 
-A strided convolution works channels last: the input is copied once into
-a zero-padded (B, Hp, Wp, C) buffer, and the patch matrix is copied out of
-its sliding windows with columns in (kh, kw, C) order, so the copy moves
-contiguous runs of C values.  The weight, stored (O, C, kh, kw), is
-multiplied as its (O, kh*kw*C) reordering, giving the NCHW output
-directly, and the backward pass adds the column gradient back into a
-channels-last buffer one kernel tap at a time.
-
-Backward keeps neither padded buffer nor patch matrix, which is kh*kw
-times the input: it rebuilds them from the input, with the forward's copy,
-for the weight gradient and frees them before the input gradient.  The
-input gradient is computed only when the input requires one, so the stem
-convs on the image and depth map skip it.
+The weight gradient of a tap is the upstream gradient, zero in the
+dropped columns, times the tap's slice.  The input gradient adds each
+tap's transposed weight times that gradient into the tap's slice of a
+phase-gradient buffer, in reverse tap order, and gathers the image
+pixels back out.  Backward does not keep the polyphase copy: it rebuilds
+it from the input for the weight gradient and frees it before the input
+gradient, which is computed only when the input requires one, so the stem
+convs on the image and depth map skip it.  No array larger than the
+padded input or the padded output is built.
 
 Train-mode batch norm is one graph node that keeps only the per-channel
 mean and 1/sqrt(var + eps); its backward recomputes x_hat from the input,
@@ -191,125 +187,111 @@ class Conv2dLayer(Module):
 
 
 def conv2d(x: Tensor, layer: Conv2dLayer) -> Tensor:
-    B, C, H, W = x.shape
+    C = x.shape[1]
     if C != layer.in_channels:
         raise ShapeError(
             f"conv2d: input has {C} channels, layer expects {layer.in_channels}"
         )
-    k, s, d = layer.kernel, layer.stride, layer.dilation
-    w, b = layer.weight, layer.bias
-
-    if k == 1 and s == 1:
-        return _conv1x1(x, w, b)
-    if s == 1:
-        return _conv_flat(x, w, b, k, d)
-
-    O = layer.out_channels
-    pad = d * (k - 1) // 2
-    Hp, Wp = H + 2 * pad, W + 2 * pad
-    Ho = (H - 1) // s + 1
-    Wo = (W - 1) // s + 1
-    wmat = w.data.transpose(0, 2, 3, 1).reshape(O, k * k * C)
-    out = np.matmul(wmat, _patch_matrix(x.data, k, s, d).transpose(0, 2, 1))
-    if b is not None:
-        out += b.data[:, None]
-
-    parents = (x, w) if b is None else (x, w, b)
-    xd, need_gx, has_bias = x.data, x.requires_grad, b is not None
-
-    def bwd(g):
-        gm = g.reshape(B, O, Ho * Wo)
-        # The patch matrix is rebuilt from the input rather than kept from
-        # the forward pass: it is kh*kw times the input's size.
-        cols = _patch_matrix(xd, k, s, d)
-        gw = np.matmul(gm, cols).sum(axis=0).reshape(O, k, k, C).transpose(0, 3, 1, 2)
-        del cols
-        gx = None
-        if need_gx:
-            gcols = np.matmul(gm.transpose(0, 2, 1), wmat).reshape(B, Ho, Wo, k, k, C)
-            gxp = np.zeros((B, Hp, Wp, C))
-            for i in range(k):
-                for j in range(k):
-                    gxp[
-                        :,
-                        i * d : i * d + (Ho - 1) * s + 1 : s,
-                        j * d : j * d + (Wo - 1) * s + 1 : s,
-                    ] += gcols[:, :, :, i, j, :]
-            gx = gxp[:, pad : pad + H, pad : pad + W, :].transpose(0, 3, 1, 2)
-            gx = np.ascontiguousarray(gx)
-        if not has_bias:
-            return gx, gw
-        return gx, gw, gm.sum(axis=(0, 2))
-
-    return make_node(out.reshape(B, O, Ho, Wo), parents, bwd)
+    if layer.kernel == 1 and layer.stride == 1:
+        return _conv1x1(x, layer.weight, layer.bias)
+    return _conv_flat(x, layer.weight, layer.bias, layer.kernel, layer.stride, layer.dilation)
 
 
-def _flat_padded(xd: np.ndarray, pad: int) -> np.ndarray:
-    """(B, C, Hp*Wp + 2*pad) copy of the NCHW array ``xd`` under "same" zero
-    padding, rows of width Wp laid end to end; the 2*pad slack columns let
-    every tap's slice run over H*Wp columns."""
-    B, C, H, W = xd.shape
-    Hp, Wp = H + 2 * pad, W + 2 * pad
-    xf = np.zeros((B, C, Hp * Wp + 2 * pad))
-    xf[:, :, : Hp * Wp].reshape(B, C, Hp, Wp)[:, :, pad : pad + H, pad : pad + W] = xd
-    return xf
+def _live_taps(H: int, W: int, k: int, s: int, d: int):
+    """(phases, taps): the (a, b) phases that live taps read, and (i, j, p,
+    offset) of every tap that reads at least one input pixel, from phase
+    ``phases[p]`` at ``offset``.
 
-
-def _live_taps(H: int, W: int, k: int, d: int) -> list[tuple[int, int, int]]:
-    """(i, j, i*d*Wp + j*d) of every kernel tap that reads at least one
-    input pixel; a tap whose rows or columns all fall in the padding adds
-    exact zeros, so the flat-shift products skip it."""
-    pad = d * (k - 1) // 2
-    Wp = W + 2 * pad
-    rows = [i for i in range(k) if abs(i * d - pad) < H]
-    cols = [j for j in range(k) if abs(j * d - pad) < W]
-    return [(i, j, i * d * Wp + j * d) for i in rows for j in cols]
-
-
-def _shift_gemm(xd: np.ndarray, wt: np.ndarray, d: int) -> np.ndarray:
-    """Stride-1 "same" convolution of the NCHW array ``xd`` by the
-    (kh, kw, O, C) taps ``wt``, bias-free, as a flat-shift implicit GEMM.
-
-    In the flat padded buffer, output pixel (r, c) sits at column r*Wp + c
-    and tap (i, j) reads it at offset i*d*Wp + j*d, so each tap is one
-    matrix product of its (O, C) weight with a contiguous slice of H*Wp
-    columns, summed into the output one tap at a time.  The 2*pad columns
-    of each row that fall past W are junk and are dropped.
+    Tap row i reads image rows o + s*r for r < Ho, o = i*d - pad; the first
+    of them not above the image is max(o, o % s), so the row is live when
+    that one is read and inside the image; likewise for columns.
     """
-    B, C, H, W = xd.shape
-    k, _, O, _ = wt.shape
     pad = d * (k - 1) // 2
-    Wp = W + 2 * pad
-    n = H * Wp
-    (i0, j0, off0), *rest = _live_taps(H, W, k, d)
-    xf = _flat_padded(xd, pad)
+    Ho, Wo = (H - 1) // s + 1, (W - 1) // s + 1
+    Wq = Wo + (k - 1) * d // s
+
+    def live(o: int, n: int, n_out: int) -> bool:
+        first = max(o, o % s)
+        return first < n and first <= o + s * (n_out - 1)
+
+    rows = [i for i in range(k) if live(i * d - pad, H, Ho)]
+    cols = [j for j in range(k) if live(j * d - pad, W, Wo)]
+    phases: dict[tuple[int, int], int] = {}
+    taps = []
+    for i in rows:
+        for j in cols:
+            p = phases.setdefault((i * d % s, j * d % s), len(phases))
+            taps.append((i, j, p, (i * d // s) * Wq + j * d // s))
+    return list(phases), taps
+
+
+def _phase_slices(a: int, s: int, pad: int, n: int, nq: int) -> tuple[slice, slice]:
+    """(phase rows, image rows) of phase ``a``, whose row u < ``nq`` is
+    padded row a + s*u, image row a + s*u - pad if that is in [0, n)."""
+    u0 = max(0, -((a - pad) // s))
+    u1 = min(nq, max(u0, (n - 1 + pad - a) // s + 1))
+    r0 = a + s * u0 - pad
+    return slice(u0, u1), slice(r0, r0 + s * (u1 - u0), s)
+
+
+class _Polyphase:
+    """Shape of the (B, P, C, Hq*Wq + R) polyphase copy of a (B, C, H, W)
+    input, P the number of phases that live taps read."""
+
+    def __init__(self, shape: tuple, k: int, s: int, d: int):
+        self.B, self.C, self.H, self.W = shape
+        self.s, self.pad = s, d * (k - 1) // 2
+        R = (k - 1) * d // s
+        self.Ho, self.Wo = (self.H - 1) // s + 1, (self.W - 1) // s + 1
+        self.Hq, self.Wq = self.Ho + R, self.Wo + R
+        self.length = self.Hq * self.Wq + R
+        self.phases, self.taps = _live_taps(self.H, self.W, k, s, d)
+
+    def zeros(self) -> np.ndarray:
+        return np.zeros((self.B, len(self.phases), self.C, self.length))
+
+    def _pairs(self, buf: np.ndarray):
+        """(phase view, phase index, image index) of each phase of ``buf``."""
+        B, C, Hq, Wq = self.B, self.C, self.Hq, self.Wq
+        for p, (a, b) in enumerate(self.phases):
+            ru, rx = _phase_slices(a, self.s, self.pad, self.H, Hq)
+            cv, cx = _phase_slices(b, self.s, self.pad, self.W, Wq)
+            yield buf[:, p, :, : Hq * Wq].reshape(B, C, Hq, Wq), (ru, cv), (rx, cx)
+
+    def copy_in(self, xd: np.ndarray) -> np.ndarray:
+        buf = self.zeros()
+        for view, phase_idx, image_idx in self._pairs(buf):
+            view[(..., *phase_idx)] = xd[(..., *image_idx)]
+        return buf
+
+    def gather(self, buf: np.ndarray) -> np.ndarray:
+        """The image pixels of ``buf``; those of phases no tap reads are 0."""
+        out = np.zeros((self.B, self.C, self.H, self.W))
+        for view, phase_idx, image_idx in self._pairs(buf):
+            out[(..., *image_idx)] = view[(..., *phase_idx)]
+        return out
+
+
+def _conv_flat(x: Tensor, w: Tensor, b: Tensor | None, k: int, s: int, d: int) -> Tensor:
+    """Flat-shift implicit GEMM over the polyphase copy of the input."""
+    geo = _Polyphase(x.shape, k, s, d)
+    B, C, O = geo.B, geo.C, w.shape[0]
+    Ho, Wo, Wq, taps = geo.Ho, geo.Wo, geo.Wq, geo.taps
+    n = Ho * Wq
+    wt = np.ascontiguousarray(w.data.transpose(2, 3, 0, 1))  # (kh, kw, O, C)
+
+    xq = geo.copy_in(x.data)
+    (i0, j0, p0, off0), *rest = taps
     acc = np.empty((B, O, n))
     tmp = np.empty((O, n))
     for bi in range(B):
-        np.matmul(wt[i0, j0], xf[bi, :, off0 : off0 + n], out=acc[bi])
-        for i, j, off in rest:
-            np.matmul(wt[i, j], xf[bi, :, off : off + n], out=tmp)
+        np.matmul(wt[i0, j0], xq[bi, p0, :, off0 : off0 + n], out=acc[bi])
+        for i, j, p, off in rest:
+            np.matmul(wt[i, j], xq[bi, p, :, off : off + n], out=tmp)
             acc[bi] += tmp
-    del xf, tmp
-    return np.ascontiguousarray(acc.reshape(B, O, H, Wp)[:, :, :, :W])
-
-
-def _conv_flat(x: Tensor, w: Tensor, b: Tensor | None, k: int, d: int) -> Tensor:
-    """Stride-1 k x k convolution without a patch matrix (``_shift_gemm``).
-
-    The input gradient is the same kind of convolution of the upstream
-    gradient, by the transposed taps in reverse order.  The weight gradient
-    of tap (i, j) is the upstream gradient, flattened to rows of width Wp
-    with zeros in the junk columns, times the tap's slice of the input's
-    flat buffer, which is rebuilt from the input rather than kept.
-    """
-    B, C, H, W = x.shape
-    O = w.shape[0]
-    pad = d * (k - 1) // 2
-    Wp = W + 2 * pad
-    n = H * Wp
-    wt = np.ascontiguousarray(w.data.transpose(2, 3, 0, 1))  # (kh, kw, O, C)
-    out = _shift_gemm(x.data, wt, d)
+    del xq, tmp
+    out = np.ascontiguousarray(acc.reshape(B, O, Ho, Wq)[:, :, :, :Wo])
+    del acc
     if b is not None:
         out += b.data[:, None, None]
 
@@ -317,39 +299,36 @@ def _conv_flat(x: Tensor, w: Tensor, b: Tensor | None, k: int, d: int) -> Tensor
     xd, need_gx, has_bias = x.data, x.requires_grad, b is not None
 
     def bwd(g):
-        gf = np.zeros((B, O, H, Wp))
-        gf[:, :, :, :W] = g
+        gf = np.zeros((B, O, Ho, Wq))
+        gf[:, :, :, :Wo] = g
         gf = gf.reshape(B, O, n)
-        xf = _flat_padded(xd, pad)
+        xq = geo.copy_in(xd)
         gw = np.zeros((k, k, O, C))
-        for i, j, off in _live_taps(H, W, k, d):
-            gw[i, j] = np.matmul(gf, xf[:, :, off : off + n].transpose(0, 2, 1)).sum(axis=0)
-        del gf, xf
+        for i, j, p, off in taps:
+            gw[i, j] = np.matmul(gf, xq[:, p, :, off : off + n].transpose(0, 2, 1)).sum(axis=0)
+        del xq
         gw = np.ascontiguousarray(gw.transpose(2, 3, 0, 1))
         gx = None
         if need_gx:
-            gx = _shift_gemm(g, wt[::-1, ::-1].transpose(0, 1, 3, 2), d)
+            # Each tap's (C, n) product goes into rows of gq's length L whose
+            # tails stay 0, so it is added to gq as one contiguous run: numpy
+            # would copy a strided (C, n) target before adding in place.
+            L = geo.length
+            gq = geo.zeros()
+            gq_runs = gq.reshape(B, -1, C * L)
+            tmp = np.zeros((C, L))
+            run = (C - 1) * L + n
+            for bi in range(B):
+                for i, j, p, off in reversed(taps):
+                    np.matmul(wt[i, j].T, gf[bi], out=tmp[:, :n])
+                    gq_runs[bi, p, off : off + run] += tmp.reshape(-1)[:run]
+            del gf, tmp
+            gx = geo.gather(gq)
         if not has_bias:
             return gx, gw
-        return gx, gw, g.reshape(B, O, H * W).sum(axis=(0, 2))
+        return gx, gw, g.reshape(B, O, Ho * Wo).sum(axis=(0, 2))
 
     return make_node(out, parents, bwd)
-
-
-def _patch_matrix(xd: np.ndarray, k: int, s: int, d: int) -> np.ndarray:
-    """(B, Ho*Wo, k*k*C) patch matrix of the NCHW array ``xd`` under "same"
-    zero padding, columns in (kh, kw, C) order."""
-    B, C, H, W = xd.shape
-    pad = d * (k - 1) // 2
-    xp = np.zeros((B, H + 2 * pad, W + 2 * pad, C))
-    xp[:, pad : pad + H, pad : pad + W, :] = xd.transpose(0, 2, 3, 1)
-    eff = d * (k - 1) + 1
-    win = np.lib.stride_tricks.sliding_window_view(xp, (eff, eff), axis=(1, 2))
-    # (B, Ho, Wo, C, kh, kw) windows -> (B, Ho, Wo, kh, kw, C) columns in one
-    # copy that moves contiguous runs of C (of kw*C when dilation is 1).
-    win = win[:, ::s, ::s, :, ::d, ::d].transpose(0, 1, 2, 4, 5, 3)
-    Ho, Wo = win.shape[1:3]
-    return np.ascontiguousarray(win).reshape(B, Ho * Wo, k * k * C)
 
 
 def _conv1x1(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:

@@ -130,7 +130,7 @@ class TestConv2d:
         "kernel, stride, dilation", [(3, 1, 1), (3, 2, 1), (3, 1, 2), (1, 2, 1)]
     )
     def test_backward_keeps_no_array_larger_than_its_input(self, kernel, stride, dilation):
-        # The patch matrix is kernel**2 times the input; backward rebuilds it.
+        # The polyphase copy is as large as the padded input; backward rebuilds it.
         rng = np.random.default_rng(19)
         x = t(rng.normal(size=(2, 3, 16, 16)), grad=True)
         node = conv2d(x, Conv2dLayer(3, 4, kernel, stride, dilation, rng=rng))
@@ -150,7 +150,7 @@ class TestConv2d:
     @settings(max_examples=60, deadline=None)
     @given(
         kernel=st.sampled_from([1, 3]),
-        stride=st.sampled_from([1, 2]),
+        stride=st.sampled_from([1, 2, 3]),
         dilation=st.sampled_from([1, 2, 4, 6]),
         bias=st.booleans(),
         B=st.integers(1, 3),
@@ -183,21 +183,24 @@ class TestConv2d:
             assert_rel_close(got, ref)
 
 
-    @pytest.mark.parametrize("dilation", [1, 2])
-    def test_stride1_forward_peak_stays_below_three_padded_inputs(self, dilation):
-        # A patch matrix alone would be kernel**2 = 9 times the input.
+    @pytest.mark.parametrize("dilation, stride", [(1, 1), (2, 1), (1, 2), (2, 2)])
+    def test_forward_and_backward_peaks_stay_below_three_padded_inputs(self, dilation, stride):
+        # The polyphase copy and its gradient are each about one padded input.
         B, C, H = 2, 8, 32
         rng = np.random.default_rng(29)
         x = t(rng.normal(size=(B, C, H, H)), grad=True)
-        layer = Conv2dLayer(C, C, 3, 1, dilation, bias=False, rng=rng)
+        layer = Conv2dLayer(C, C, 3, stride, dilation, bias=False, rng=rng)
         padded_bytes = B * C * (H + 2 * dilation) ** 2 * 8
-        tracemalloc.start()
-        try:
-            conv2d(x, layer)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 3 * padded_bytes, peak / padded_bytes
+        node = conv2d(x, layer)
+        g = rng.normal(size=node.shape)
+        for run in (lambda: conv2d(x, layer), lambda: node._backward(g)):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 3 * padded_bytes, peak / padded_bytes
 
     @pytest.mark.parametrize(
         "H, W, dilation, dead",
