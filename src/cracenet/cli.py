@@ -30,10 +30,9 @@ from .layers import resize_bilinear_np
 from .metrics import evaluate_dataset
 from .trainer import (
     CONFIG_FIELDS,
-    _save_level_maps,
     build_model_from_checkpoint,
     configs_from_fields,
-    predict_maps,
+    predict_map,
     train,
 )
 
@@ -170,12 +169,12 @@ def _cmd_predict(args) -> int:
                 path.stem,
             )
         )
-    for s, final in zip(samples, predict_maps(model, samples)):
+    level_dir = out_dir if args.dump_levels else None
+    for s in samples:
+        final = predict_map(model, s, level_dir)
         # Each final map goes back to its image's native resolution and is
         # quantized once, after the resize.
         save_gray(out_dir / f"{s.id}.pgm", resize_bilinear_np(final, originals[s.id]))
-        if args.dump_levels:
-            _save_level_maps(model, s, out_dir)
     print(f"wrote {len(samples)} saliency maps to {out_dir}")
     return 0
 

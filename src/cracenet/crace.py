@@ -220,16 +220,10 @@ class CraceModule(Module):
             raise ShapeError(f"multi_scale expects {self.config.n} channels, got {C}")
         out = None
         for (rate, _), conv in zip(self.config.branch_plan(), self.branch_convs):
-            if rate == 1:
-                branch = conv.forward(x)
-            else:
-                pad_h = (-H) % rate
-                pad_w = (-W) % rate
-                branch = pad_bottom_right(x, pad_h, pad_w)
-                branch = downsample_avg(branch, rate)
-                branch = conv.forward(branch)
-                branch = upsample(branch, rate)
-                branch = crop2d(branch, H, W)
+            # At rate 1 the pad, pooling, upsampling and crop return their input.
+            branch = pad_bottom_right(x, (-H) % rate, (-W) % rate)
+            branch = upsample(conv.forward(downsample_avg(branch, rate)), rate)
+            branch = crop2d(branch, H, W)
             out = branch if out is None else out + branch
         return out
 

@@ -51,6 +51,7 @@ __all__ = [
     "flip_horizontal",
     "format_ablation_table",
     "lr_multiplier",
+    "predict_map",
     "predict_maps",
     "random_crop",
     "run_ablation",
@@ -504,9 +505,32 @@ def _fmt_cell(value) -> str:
 # -- evaluation helpers ------------------------------------------------------------
 
 
+def predict_map(model: SodNetwork, s: Sample, level_dir: Path | None = None) -> np.ndarray:
+    """Final saliency probability map of one sample, from ``infer``.
+
+    With ``level_dir``, one ``forward`` that records no graph serves instead
+    and also writes ``<id>_P<level>.pgm`` and ``<id>_E<level>.pgm`` for levels
+    2-5 there; its level-2 saliency map is the final map, bit for bit what
+    ``infer`` returns.
+    """
+    depth = s.depth if model.mode == "rgbd" else None
+    if level_dir is None:
+        return model.infer(s.image, depth)
+    with no_grad():
+        dep = Tensor(depth[None, None]) if depth is not None else None
+        out = model.forward(Tensor(s.image[None]), dep, training=False)
+        maps = [
+            (sigmoid(sal).data[0, 0], sigmoid(edg).data[0, 0])
+            for sal, edg in zip(out["saliency_logits"], out["edge_logits"])
+        ]
+    for level, (sal, edg) in enumerate(maps, start=2):
+        save_gray(level_dir / f"{s.id}_P{level}.pgm", sal)
+        save_gray(level_dir / f"{s.id}_E{level}.pgm", edg)
+    return maps[0][0]
+
+
 def predict_maps(model: SodNetwork, samples: list[Sample]) -> list[np.ndarray]:
-    use_depth = model.mode == "rgbd"
-    return [model.infer(s.image, s.depth if use_depth else None) for s in samples]
+    return [predict_map(model, s) for s in samples]
 
 
 def evaluate_model(model: SodNetwork, samples: list[Sample]) -> MetricReport:
@@ -524,25 +548,10 @@ def predict_to_dir(
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    finals = predict_maps(model, samples)
+    finals = [predict_map(model, s, out_dir if dump_levels else None) for s in samples]
     for s, final in zip(samples, finals):
         save_gray(out_dir / f"{s.id}.pgm", final)
-        if dump_levels:
-            _save_level_maps(model, s, out_dir)
     return finals
-
-
-def _save_level_maps(model: SodNetwork, s: Sample, out_dir: Path) -> None:
-    """``<id>_P<level>.pgm`` and ``<id>_E<level>.pgm`` for levels 2-5, from
-    one forward pass that records no graph."""
-    with no_grad():
-        dep = Tensor(s.depth[None, None]) if model.mode == "rgbd" else None
-        out = model.forward(Tensor(s.image[None]), dep, training=False)
-        for level, (sal, edg) in enumerate(
-            zip(out["saliency_logits"], out["edge_logits"]), start=2
-        ):
-            save_gray(out_dir / f"{s.id}_P{level}.pgm", sigmoid(sal).data[0, 0])
-            save_gray(out_dir / f"{s.id}_E{level}.pgm", sigmoid(edg).data[0, 0])
 
 
 # -- ablation harness -----------------------------------------------------------------

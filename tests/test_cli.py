@@ -145,14 +145,28 @@ class TestPredictEval:
                      "--out", str(tmp_path / "p")])
         assert code == 2
 
-    def test_predict_dump_levels(self, workspace, tmp_path):
-        pred = tmp_path / "levels"
-        assert main(["predict", "--checkpoint", str(workspace / "run/checkpoint.ckpt"),
-                     "--images", str(workspace / "data/images"),
-                     "--out", str(pred), "--dump-levels"]) == 0
+    def test_predict_dump_levels(self, workspace, tmp_path, monkeypatch):
+        encodes = Counter()
+        refine = SodNetwork._refine
+
+        def counting_refine(self, *args, **kwargs):
+            encodes[dump] += 1
+            return refine(self, *args, **kwargs)
+
+        monkeypatch.setattr(SodNetwork, "_refine", counting_refine)
+        for dump in (False, True):
+            assert main(["predict", "--checkpoint", str(workspace / "run/checkpoint.ckpt"),
+                         "--images", str(workspace / "data/images"),
+                         "--out", str(tmp_path / str(dump))]
+                        + ["--dump-levels"] * dump) == 0
+        levels = tmp_path / "True"
         for level in (2, 3, 4, 5):
-            assert (pred / f"0000_P{level}.pgm").exists()
-            assert (pred / f"0000_E{level}.pgm").exists()
+            assert (levels / f"0000_P{level}.pgm").exists()
+            assert (levels / f"0000_E{level}.pgm").exists()
+        # One encoding per image either way, and the same final maps.
+        assert encodes == {False: 4, True: 4}
+        for final in (tmp_path / "False").glob("*.pgm"):
+            assert final.read_bytes() == (levels / final.name).read_bytes()
 
     def test_eval_identical_dirs_mae_zero(self, workspace, tmp_path, capsys):
         gt = workspace / "data/gt"
