@@ -20,8 +20,14 @@ shapes:
 A step is timed from one ``sgd_step`` return to the next, as in
 ``bench/workloads.py``; the first step is a warm-up and is dropped.  The
 result holds the median and quartiles of the remaining steps, the peak
-resident set size of the worker (``ru_maxrss``; as each case has its own
-process, one case's peak does not hide another's) and the final loss row.
+resident set size of the worker over those steps (``ru_maxrss``; as each
+case has its own process, one case's peak does not hide another's), the
+``tracemalloc`` peak of one training step and the final loss row.  The
+traced step is one extra, untimed step run after the last timed one with
+the same arguments, so no timed step pays for the tracing and the schedule
+and loss rows are those of an untraced run; the RSS is read before it.
+Unlike the RSS, the traced peak counts array bytes alone, whatever the
+allocator keeps.
 A case whose worker fails gets the failure row ``harness.py`` describes.
 ``--skip NAME:REASON`` records a case as not run, with the reason, without
 starting it.  The result goes to ``BENCH_train.json`` as ``harness.py``
@@ -38,6 +44,7 @@ import resource
 import sys
 import tempfile
 import time
+import tracemalloc
 
 import harness
 
@@ -67,18 +74,33 @@ def run_case(name: str) -> dict:
         multiscale=False,
     )
     stamps: list[float] = []
-    sgd_step = trainer.sgd_step
+    peaks: dict[str, float] = {}
+    sgd_step, train_step = trainer.sgd_step, trainer._train_step
 
     def clocked_sgd_step(*args, **kwargs):
         sgd_step(*args, **kwargs)
         stamps.append(time.perf_counter())
 
+    def train_step_then_trace_one_more(*args):
+        row = train_step(*args)
+        if len(stamps) == cfg.total_steps:
+            peaks["rss"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+            trainer.sgd_step = sgd_step
+            tracemalloc.start()
+            try:
+                train_step(*args)
+                peaks["traced"] = tracemalloc.get_traced_memory()[1] / 2**20
+            finally:
+                tracemalloc.stop()
+        return row
+
     trainer.sgd_step = clocked_sgd_step
+    trainer._train_step = train_step_then_trace_one_more
     start = time.perf_counter()
     try:
         result = trainer.train(samples, cfg)
     finally:
-        trainer.sgd_step = sgd_step
+        trainer.sgd_step, trainer._train_step = sgd_step, train_step
     step_ms = [(b - a) * 1e3 for a, b in zip([start] + stamps, stamps)][1:]
     return {
         "mode": mode,
@@ -86,7 +108,8 @@ def run_case(name: str) -> dict:
         "batch": batch,
         "scene_seed": scene_seed,
         "step_ms": harness.quartiles(step_ms),
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "peak_rss_mb": peaks["rss"],
+        "tracemalloc_peak_mb": peaks["traced"],
         "final_loss": {k: float(v) for k, v in result.log_rows[-1].items()},
     }
 
@@ -95,7 +118,7 @@ def show(name: str, row: dict) -> str:
     return (
         f"{name}: step {row['step_ms']['median']:.1f} ms "
         f"[{row['step_ms']['q1']:.1f}, {row['step_ms']['q3']:.1f}], "
-        f"peak RSS {row['peak_rss_mb']:.0f} MB"
+        f"peak RSS {row['peak_rss_mb']:.0f} MB, traced {row['tracemalloc_peak_mb']:.0f} MB"
     )
 
 

@@ -7,8 +7,16 @@ network), in four stages, each independently switchable for ablations:
 1. cross attention   - a shared single-channel sigmoid map computed from
                        the summed projections re-weights every stream in
                        residual form (stream + A * stream).
-2. channel attention - residual channel re-weighting via global average
-                       pooling, then 1x1 reduction to ``n`` channels.
+2. channel attention - channel re-weighting by the global average pool,
+                       concatenated with the unweighted streams and reduced
+                       to ``n`` channels by a 1x1 conv.  As the concat feeds
+                       a linear map, the re-weighting folds into per-image
+                       1x1 weights: with ``[W_a | W_b]`` the two column
+                       halves of ``channel_reduce.weight`` and ``p_b`` the
+                       per-channel mean of image b,
+                       ``out_b = (W_a diag(p_b) + W_b) x_b + bias``, one
+                       graph node (the squeeze-and-excitation scaling of
+                       Hu et al., 2018, absorbed into the 1x1 layer).
 3. multi-scale       - parallel downsample / dilated 3x3 conv / upsample
                        branches summed at full resolution.
 4. attentive fusion  - the projected global stream, gated by its own
@@ -34,6 +42,7 @@ from .tensor import (
     ShapeError,
     concat_channels,
     crop2d,
+    make_node,
     pad_bottom_right,
     sigmoid,
 )
@@ -198,15 +207,21 @@ class CraceModule(Module):
     # -- stage 2: channel attention ---------------------------------------
 
     def channel_attention(self, fused: Tensor) -> Tensor:
-        """Residual channel re-weighting, then 1x1 reduction to n channels."""
+        """1x1 reduction to n channels of ``[p * fused, fused]``, where ``p``
+        is each image's per-channel mean; with the stage off, of ``fused``.
+
+        The enabled stage never builds the concatenation: it is one node
+        computing ``out_b = (W_a diag(p_b) + W_b) x_b + bias``, where
+        ``[W_a | W_b]`` are the column halves of ``channel_reduce.weight``
+        (see :func:`_pooled_reduce`).
+        """
         if fused.shape[1] != self.streams * self.config.n:
             raise ShapeError(
                 f"channel_attention expects {self.streams * self.config.n} channels, "
                 f"got {fused.shape[1]}"
             )
         if self.config.enable_channel_attention:
-            pooled = fused.mean(axis=(2, 3), keepdims=True)
-            fused = concat_channels([pooled * fused, fused])
+            return _pooled_reduce(fused, self.channel_reduce.weight, self.channel_reduce.bias)
         return self.channel_reduce.forward(fused)
 
     # -- stage 3: multi-scale ----------------------------------------------
@@ -269,3 +284,34 @@ class CraceModule(Module):
         if return_parts:
             return x, parts
         return x
+
+
+def _pooled_reduce(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """1x1 conv of ``concat([p * x, x])`` with weight ``w`` (O, 2C, 1, 1) and
+    bias ``b``, where ``p`` (B, C) is each image's per-channel mean of ``x``.
+
+    Per image b the two halves fold into one (O x C) matrix,
+    ``W_eff,b = W_a diag(p_b) + W_b``.  With ``G_b = g_b x_b^T`` the
+    backward is ``gW = [sum_b G_b * p_b | sum_b G_b]``,
+    ``gx_b = W_eff,b^T g_b + (sum_o W_a * G_b) / (H W)`` (the second term,
+    through the mean, broadcast over pixels) and ``gbias = sum g``.  The
+    node keeps ``x`` and (B, O, C) arrays, never the concatenation.
+    """
+    B, C, H, W = x.shape
+    O = w.shape[0]
+    wa, wb = np.split(w.data.reshape(O, 2 * C), 2, axis=1)
+    xd = x.data.reshape(B, C, H * W)
+    p = xd.mean(axis=2)
+    w_eff = wa * p[:, None, :] + wb
+    out = np.matmul(w_eff, xd)
+    out += b.data[:, None]
+
+    def bwd(g):
+        gm = g.reshape(B, O, H * W)
+        G = np.matmul(gm, xd.transpose(0, 2, 1))
+        gw = np.concatenate([(G * p[:, None, :]).sum(axis=0), G.sum(axis=0)], axis=1)
+        gx = np.matmul(w_eff.transpose(0, 2, 1), gm)
+        gx += ((wa * G).sum(axis=1) / (H * W))[:, :, None]
+        return gx.reshape(B, C, H, W), gw.reshape(O, 2 * C, 1, 1), gm.sum(axis=(0, 2))
+
+    return make_node(out.reshape(B, O, H, W), (x, w, b), bwd)

@@ -6,7 +6,7 @@ shared helpers with the library) so it can referee the fast paths.
 
 import numpy as np
 
-from cracenet.tensor import as_tensor, backward, make_node, zero_grads
+from cracenet.tensor import as_tensor, backward, concat_channels, make_node, zero_grads
 
 
 # -- finite differences -------------------------------------------------------
@@ -58,6 +58,17 @@ def check_gradients(
                 f"gradient mismatch at coord {idx}: autodiff {ad!r} vs fd {fd!r} "
                 f"(|diff|={abs(ad - fd):.3e})"
             )
+
+
+def assert_rel_close(got, want, rtol=1e-12, scale=None):
+    """Largest deviation within ``rtol`` of ``scale``, by default the largest
+    reference magnitude."""
+    assert got.shape == want.shape
+    if scale is None:
+        scale = np.abs(want).max(initial=0.0)
+    assert np.abs(got - want).max(initial=0.0) <= rtol * scale, (
+        np.abs(got - want).max(), scale
+    )
 
 
 def backward_every_node(loss):
@@ -174,6 +185,18 @@ def batchnorm_train_composed(bn, x):
     running_mean = (1 - m) * bn.running_mean + m * mu.data.reshape(C)
     running_var = (1 - m) * bn.running_var + m * var.data.reshape(C)
     return xhat * gamma + beta, running_mean, running_var
+
+
+# -- channel attention as pooling, product, concat and 1x1 conv ------------------
+
+
+def channel_attention_composed(module, fused):
+    """CRACE stage 2 of ``module`` as the paper states it, one node per step:
+    per-image channel means ``p``, ``p * fused``, the concatenation
+    ``[p * fused, fused]`` and ``module.channel_reduce`` over it (the graph
+    ``CraceModule.channel_attention`` replaced with one node)."""
+    pooled = fused.mean(axis=(2, 3), keepdims=True)
+    return module.channel_reduce.forward(concat_channels([pooled * fused, fused]))
 
 
 # -- logistic by sign masks ---------------------------------------------------------

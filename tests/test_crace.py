@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cracenet.crace import ConfigError, CraceConfig, CraceModule
-from cracenet.tensor import Node, Tensor, ShapeError
-from oracles import check_gradients
+from cracenet.tensor import Node, Tensor, ShapeError, backward, zero_grads
+from oracles import assert_rel_close, channel_attention_composed, check_gradients
 
 
 def tiny_cfg(**kw):
@@ -88,14 +91,68 @@ class TestCrossAttention:
 
 class TestChannelAttention:
     def test_constant_input_gap_squares(self):
+        # A constant channel pools to its own value, so the re-weighted half
+        # sees its square: out = W_a v^2 + W_b v + bias at every pixel.
         cfg = tiny_cfg()
         m = CraceModule(3, 4, cfg, rng=np.random.default_rng(6))
+        m.channel_reduce.bias.data = np.random.default_rng(16).normal(size=cfg.n)
         vals = np.arange(1.0, 2 * cfg.n + 1)
         fused = Tensor(np.tile(vals[:, None, None], (1, 6, 6))[None])
-        pooled = fused.mean(axis=(2, 3), keepdims=True)
-        assert np.allclose((pooled * fused).data[0, :, 0, 0], vals**2)
         out = m.channel_attention(fused)
+        w = m.channel_reduce.weight.data[:, :, 0, 0]
+        want = w[:, : 2 * cfg.n] @ vals**2 + w[:, 2 * cfg.n :] @ vals + m.channel_reduce.bias.data
         assert out.shape == (1, cfg.n, 6, 6)
+        assert_rel_close(out.data, np.broadcast_to(want[None, :, None, None], out.shape))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        B=st.integers(1, 3),
+        streams=st.integers(2, 3),
+        n=st.integers(1, 4),
+        H=st.integers(1, 9),
+        W=st.integers(1, 9),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @example(B=1, streams=2, n=1, H=1, W=1, seed=0)
+    @example(B=3, streams=3, n=4, H=1, W=1, seed=1)
+    def test_matches_pool_product_concat_reduction(self, B, streams, n, H, W, seed):
+        rng = np.random.default_rng(seed)
+        m = CraceModule(
+            1, 1, tiny_cfg(n=n), rng=rng, in_depth=1 if streams == 3 else None
+        )
+        conv = m.channel_reduce
+        conv.bias.data = rng.normal(size=n)
+        x = Tensor(rng.normal(size=(B, streams * n, H, W)), requires_grad=True)
+        g = Tensor(rng.normal(size=(B, n, H, W)))
+        results = []
+        for op in (m.channel_attention, lambda f: channel_attention_composed(m, f)):
+            zero_grads([x, conv.weight, conv.bias])
+            out = op(x)
+            backward((out * g).sum())
+            results.append(
+                [out.data, x.grad.copy(), conv.weight.grad.copy(), conv.bias.grad.copy()]
+            )
+        for got, want in zip(*results):
+            assert_rel_close(got, want)
+
+    def test_forward_and_backward_peaks_stay_below_five_quarters_of_the_input(self):
+        # The concatenation the stage reduces is twice its input; the node
+        # never builds it.  Its output is half the input and its gradient
+        # one input; the rest is numpy's fixed 64 KB broadcasting buffer.
+        cfg = tiny_cfg(n=8)
+        rng = np.random.default_rng(17)
+        m = CraceModule(3, 4, cfg, rng=rng)
+        x = Tensor(rng.normal(size=(2, 2 * cfg.n, 64, 64)), requires_grad=True)
+        node = m.channel_attention(x)
+        g = rng.normal(size=node.shape)
+        for run in (lambda: m.channel_attention(x), lambda: node._backward(g)):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.25 * x.data.nbytes, peak / x.data.nbytes
 
     def test_disabled_is_plain_reduction(self):
         cfg = tiny_cfg(enable_channel_attention=False)

@@ -17,6 +17,7 @@ from cracenet.layers import (
 from cracenet import tensor as tensor_module
 from cracenet.tensor import Tensor, ShapeError, backward, make_node, relu, zero_grads
 from oracles import (
+    assert_rel_close,
     batchnorm_train_composed,
     check_gradients,
     conv2d_bruteforce,
@@ -29,17 +30,6 @@ from oracles import (
 
 def t(arr, grad=False):
     return Tensor(np.asarray(arr, dtype=np.float64), requires_grad=grad)
-
-
-def assert_rel_close(got, want, rtol=1e-12, scale=None):
-    """Largest deviation within ``rtol`` of ``scale``, by default the largest
-    reference magnitude."""
-    assert got.shape == want.shape
-    if scale is None:
-        scale = np.abs(want).max(initial=0.0)
-    assert np.abs(got - want).max(initial=0.0) <= rtol * scale, (
-        np.abs(got - want).max(), scale
-    )
 
 
 class TestConv2d:

@@ -65,3 +65,23 @@ def test_help_lists_the_flags(script, flags):
     proc = subprocess.run([sys.executable, str(SCRIPTS / script), "--help"],
                           capture_output=True, text=True, check=True)
     assert set(re.findall(r"(?<!\S)(--?[a-z][\w-]*)", proc.stdout)) == flags
+
+
+def test_bench_train_traces_one_extra_step_and_keeps_the_loss_row(monkeypatch, tmp_path):
+    from cracenet import data, trainer
+
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    bench_train = importlib.import_module("bench_train")
+    monkeypatch.setitem(bench_train.CASES, "tiny", ("rgb", 32, 2, 2, 3, 2))
+    train_step = trainer._train_step
+    row = bench_train.run_case("tiny")
+    assert trainer._train_step is train_step
+    assert row["step_ms"]["n"] == 2
+    assert 0.0 < row["tracemalloc_peak_mb"] < row["peak_rss_mb"]
+
+    data.gen_synthetic(tmp_path, 2, 32, seed=3)
+    cfg = trainer.TrainConfig(
+        total_steps=3, batch_size=2, input_size=32, seed=0, mode="rgb", multiscale=False
+    )
+    plain = trainer.train(data.load_dataset(tmp_path), cfg).log_rows[-1]
+    assert row["final_loss"] == {k: float(v) for k, v in plain.items()}
