@@ -522,7 +522,7 @@ def upsample(x: Tensor, factor: int) -> Tensor:
         gx = np.tensordot(gz, wr, axes=([2], [0]))          # (B, C, W, H)
         return (np.ascontiguousarray(gx.transpose(0, 1, 3, 2)),)
 
-    return make_node(np.ascontiguousarray(data), (x,), bwd)
+    return make_node(data, (x,), bwd)
 
 
 def downsample_avg(x: Tensor, factor: int) -> Tensor:
@@ -598,9 +598,12 @@ def resize_bilinear_np(arr: np.ndarray, out_hw: tuple[int, int]) -> np.ndarray:
         return arr.copy()
     r0, r1, tr = _interp_grid(H, Ho)
     c0, c1, tc = _interp_grid(W, Wo)
-    # a + t*(b - a) keeps constant inputs bit-exact.
-    rows = arr[..., r0, :] + tr[:, None] * (arr[..., r1, :] - arr[..., r0, :])
-    return rows[..., c0] + tc * (rows[..., c1] - rows[..., c0])
+    # a + t*(b - a) keeps constant inputs bit-exact.  ``np.take`` returns C
+    # order, where fancy indexing on the last axis gives a transposed layout.
+    a, b = np.take(arr, r0, axis=-2), np.take(arr, r1, axis=-2)
+    rows = a + tr[:, None] * (b - a)
+    a, b = np.take(rows, c0, axis=-1), np.take(rows, c1, axis=-1)
+    return a + tc * (b - a)
 
 
 def resize_nearest_np(arr: np.ndarray, out_hw: tuple[int, int]) -> np.ndarray:
@@ -611,4 +614,4 @@ def resize_nearest_np(arr: np.ndarray, out_hw: tuple[int, int]) -> np.ndarray:
         return arr.copy()
     ri = np.clip(np.floor((np.arange(Ho) + 0.5) * H / Ho), 0, H - 1).astype(np.intp)
     ci = np.clip(np.floor((np.arange(Wo) + 0.5) * W / Wo), 0, W - 1).astype(np.intp)
-    return arr[..., ri, :][..., ci]
+    return np.take(np.take(arr, ri, axis=-2), ci, axis=-1)

@@ -123,13 +123,21 @@ class Encoder(Module):
         return ((f"stage{s + 2}.block0", block) for s, block in enumerate(items))
 
 
+class _Undrawn:
+    """Weight source of a network whose every array is loaded right after
+    construction: it allocates the weights and draws none of them."""
+
+    def normal(self, loc, scale, size):
+        return np.empty(size)
+
+
 class SodNetwork(Module):
     """The unified RGB / RGB-D saliency detector."""
 
-    def __init__(self, config: NetworkConfig, seed: int = 0):
+    def __init__(self, config: NetworkConfig, seed: int = 0, *, _rng=None):
         self.config = config
         self.mode = config.mode
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
+        rng = _rng or np.random.default_rng(np.random.SeedSequence(entropy=seed))
         w = config.encoder.widths
         n = config.crace.n
 

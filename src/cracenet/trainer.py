@@ -33,7 +33,7 @@ from .losses import (
     total_loss_rgbd,
 )
 from .metrics import MetricReport, evaluate_pairs
-from .network import EncoderConfig, NetworkConfig, SodNetwork
+from .network import EncoderConfig, NetworkConfig, SodNetwork, _Undrawn
 from .tensor import Tensor, backward, no_grad, sigmoid, zero_grads
 
 __all__ = [
@@ -341,15 +341,16 @@ def _check_resume_configs(snapshot: dict, cfg, net_cfg, loss_cfg) -> None:
 def build_model_from_checkpoint(path) -> tuple[SodNetwork, TrainConfig, NetworkConfig, LossConfig]:
     snapshot, arrays = load_checkpoint(path)
     train_cfg, net_cfg, loss_cfg = configs_from_snapshot(snapshot)
-    model = SodNetwork(net_cfg, seed=train_cfg.seed)
+    model = SodNetwork(net_cfg, _rng=_Undrawn())
     model.load_arrays(arrays)
     return model, train_cfg, net_cfg, loss_cfg
 
 
 def _save_training_checkpoint(path, step, model, velocities, cfg, net_cfg, loss_cfg):
-    arrays = model.export_arrays()
-    for name, v in velocities.items():
-        arrays["optim/" + name] = v
+    # The live arrays: save_checkpoint copies each once, into the file buffer.
+    arrays = {name: t.data for name, t in model.parameters()}
+    arrays.update(model.buffers())
+    arrays.update(("optim/" + name, v) for name, v in velocities.items())
     save_checkpoint(path, config_snapshot(step, cfg, net_cfg, loss_cfg), arrays)
 
 
@@ -427,17 +428,21 @@ def train(
     if net_cfg.mode != cfg.mode:
         raise ValueError("network mode and train config mode differ")
 
-    model = SodNetwork(net_cfg, seed=cfg.seed)
+    if resume is None:
+        model = SodNetwork(net_cfg, seed=cfg.seed)
+    else:
+        snapshot, arrays = load_checkpoint(resume)
+        _check_resume_configs(snapshot, cfg, net_cfg, loss_cfg)
+        model = SodNetwork(net_cfg, _rng=_Undrawn())
     params = model.param_dict()
     velocities = {name: np.zeros_like(p.data) for name, p in params.items()}
     start_step = 0
     if resume is not None:
-        snapshot, arrays = load_checkpoint(resume)
-        _check_resume_configs(snapshot, cfg, net_cfg, loss_cfg)
         check_arrays(arrays, {"optim/" + name: v.shape for name, v in velocities.items()})
         model.load_arrays(arrays)
         for name in velocities:
-            velocities[name] = arrays["optim/" + name].copy()
+            velocities[name] = arrays["optim/" + name]
+        del arrays  # the model holds copies of the rest
         start_step = int(snapshot["step"])
 
     out_dir = Path(out_dir) if out_dir is not None else None

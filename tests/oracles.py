@@ -4,6 +4,9 @@ Everything here is deliberately slow and literal (explicit loops, no
 shared helpers with the library) so it can referee the fast paths.
 """
 
+import json
+import zlib
+
 import numpy as np
 
 from cracenet.tensor import as_tensor, backward, concat_channels, make_node, zero_grads
@@ -499,3 +502,30 @@ def e_measure_bruteforce(pred, gt):
                 align = 2.0 * bg * bp / (bg * bg + bp * bp)
                 enhanced[i, j] = (align + 1.0) ** 2 / 4.0
     return enhanced.mean()
+
+
+# -- checkpoint bytes -----------------------------------------------------------
+
+
+def checkpoint_bytes(config, arrays):
+    """The CRACEv1 file for ``config`` and ``arrays``, chunk by chunk and
+    joined, as ``data.save_checkpoint`` first wrote it."""
+    chunks = []
+    cfg = json.dumps(config, sort_keys=True).encode()
+    chunks.append(int(len(cfg)).to_bytes(4, "little"))
+    chunks.append(cfg)
+    chunks.append(int(len(arrays)).to_bytes(4, "little"))
+    for name in sorted(arrays):
+        arr = np.asarray(arrays[name], dtype=np.float64)
+        if not arr.flags["C_CONTIGUOUS"]:
+            arr = np.ascontiguousarray(arr)
+        nb = name.encode()
+        chunks.append(len(nb).to_bytes(2, "little"))
+        chunks.append(nb)
+        chunks.append(bytes([arr.ndim]))
+        for dim in arr.shape:
+            chunks.append(int(dim).to_bytes(4, "little"))
+        chunks.append(arr.astype("<f8").tobytes())
+    payload = b"".join(chunks)
+    crc = zlib.crc32(payload)
+    return b"CRACEv1\x00" + payload + int(crc).to_bytes(4, "little")

@@ -1,7 +1,13 @@
+import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
+
+from oracles import checkpoint_bytes
 
 from cracenet.data import (
     CorruptCheckpointError,
@@ -106,7 +112,44 @@ class TestSynthetic:
             assert s.depth[fg].mean() - s.depth[~fg].mean() >= 0.2
 
 
+def _checkpoint_arrays():
+    """Arrays of any dtype the writer casts, 0-d and empty ones included,
+    some of them transposed or strided."""
+    dtypes = st.sampled_from([np.float64, np.float32, np.int64, np.int32])
+    shapes = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4)
+    base = dtypes.flatmap(lambda dt: hnp.arrays(dt, shapes))
+    views = st.sampled_from([lambda a: a, lambda a: a.T, lambda a: a[..., ::2] if a.ndim else a])
+    return st.dictionaries(
+        st.text(max_size=6), st.builds(lambda a, view: view(a), base, views), max_size=4
+    )
+
+
 class TestCheckpoint:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        config=st.dictionaries(st.text(max_size=4), st.integers() | st.text(max_size=4),
+                               max_size=3),
+        arrays=_checkpoint_arrays(),
+    )
+    @example(config={"mode": "rgb"},
+             arrays={"tête.w": np.arange(6, dtype=np.float32).reshape(2, 3).T,
+                     "scalar": np.array(3), "empty": np.zeros((2, 0))})
+    def test_bytes_match_the_reference_encoder(self, config, arrays):
+        with tempfile.TemporaryDirectory() as work:
+            path = Path(work) / "c.ckpt"
+            save_checkpoint(path, config, arrays)
+            raw = path.read_bytes()
+            cfg2, arrays2 = load_checkpoint(path)
+        assert raw == checkpoint_bytes(config, arrays)
+        assert cfg2 == json.loads(json.dumps(config))
+        assert arrays2.keys() == arrays.keys()
+        for name, arr in arrays.items():
+            want = np.asarray(arr, dtype=np.float64)
+            got = arrays2[name]
+            assert got.dtype == np.float64 and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert got.flags.writeable and got.flags.owndata
+
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(2)
         arrays = {

@@ -391,6 +391,50 @@ class TestConfigsFromFields:
             build_model_from_checkpoint(ckpt)
 
 
+def count_normal_draws(monkeypatch) -> list:
+    """Record every ``normal`` call on the generators made from now on."""
+    calls = []
+    default_rng = np.random.default_rng
+
+    class Counting:
+        def __init__(self, rng):
+            self._rng = rng
+
+        def normal(self, *args, **kwargs):
+            calls.append(args)
+            return self._rng.normal(*args, **kwargs)
+
+        def __getattr__(self, name):
+            return getattr(self._rng, name)
+
+    monkeypatch.setattr(np.random, "default_rng", lambda *a, **k: Counting(default_rng(*a, **k)))
+    return calls
+
+
+class TestRebuild:
+    @pytest.mark.parametrize("mode", ["rgb", "rgbd"])
+    def test_rebuilds_draw_no_weights(self, dataset, tmp_path, monkeypatch, mode):
+        cfg = tiny_train_cfg(mode=mode)
+        train(dataset, cfg, tiny_net_cfg(mode), out_dir=tmp_path / "full")
+        ckpt = tmp_path / "full/checkpoint_step000003.ckpt"
+        saved = load_checkpoint(ckpt)[1]
+
+        draws = count_normal_draws(monkeypatch)
+        SodNetwork(tiny_net_cfg(mode))
+        assert draws, "a freshly seeded network draws its weights"
+        draws.clear()
+        model = build_model_from_checkpoint(ckpt)[0]
+        train(dataset, cfg, tiny_net_cfg(mode), out_dir=tmp_path / "resumed", resume=ckpt)
+        assert draws == []
+
+        exported = model.export_arrays()
+        assert exported.keys() == {k for k in saved if not k.startswith("optim/")}
+        assert all(exported[k].tobytes() == saved[k].tobytes() for k in exported)
+        assert (tmp_path / "resumed/checkpoint.ckpt").read_bytes() == (
+            tmp_path / "full/checkpoint.ckpt"
+        ).read_bytes()
+
+
 class TestOlderCheckpoints:
     @pytest.mark.parametrize("mode", ["rgb", "rgbd"])
     def test_load_and_resume_bit_identically(self, dataset, tmp_path, mode):
