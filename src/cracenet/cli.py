@@ -91,7 +91,7 @@ def _cmd_gen_data(args) -> int:
         n=args.n,
         size=args.size,
         seed=args.seed,
-        with_depth=args.with_depth or args.depth_only_cue,
+        with_depth=args.with_depth,
         depth_only_cue=args.depth_only_cue,
     )
     print(f"wrote {len(ids)} samples to {args.out}")

@@ -29,13 +29,18 @@ gradient, which is computed only when the input requires one, so the stem
 convs on the image and depth map skip it.  No array larger than the
 padded input or the padded output is built.
 
-Train-mode batch norm is one graph node that keeps only the per-channel
-mean and 1/sqrt(var + eps); its backward recomputes x_hat from the input,
-in the forward's operation order, and applies the closed form
-``gx = gamma*rstd*(g - mean(g) - x_hat*mean(g*x_hat))``.  Asked for a
-following ReLU, it emits ``relu(bn(x))`` from the same node, whose backward
-first masks the upstream by ``out > 0``; so conv -> BN -> ReLU keeps the
-conv output and the block output and nothing else per pixel.
+Batch norm is one graph node in train and eval mode alike; the mode picks
+the statistics and nothing else.  Train mode uses the batch mean and
+``(var + eps) ** -0.5`` and updates the running estimates; eval mode uses
+the running estimates and ``1 / sqrt(running_var + eps)``.  The node keeps
+only the per-channel mean and rstd; its backward recomputes x_hat from the
+input, in the forward's operation order.  In train mode it applies the
+closed form ``gx = gamma*rstd*(g - mean(g) - x_hat*mean(g*x_hat))``; in
+eval mode the statistics are constants, and ``gx = (g*gamma)*rstd``.
+Asked for a following ReLU, it emits ``relu(bn(x))`` from the same node,
+through the one ReLU kernel of ``tensor``, and its backward first masks the
+upstream by ``out > 0``; so conv -> BN -> ReLU keeps the conv output and
+the block output and nothing else per pixel.
 
 Upsampling is half-pixel bilinear by an integer factor; average pooling
 by an integer factor is its downsampling counterpart.
@@ -47,9 +52,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .tensor import Tensor, ShapeError, make_node, relu
-
-_relu = relu  # BatchNormLayer.forward's ``relu`` flag shadows the op
+from .tensor import Tensor, ShapeError, _relu_, make_node
 
 __all__ = [
     "BatchNormLayer",
@@ -374,38 +377,38 @@ class BatchNormLayer(Module):
         self.running_var = np.ones(channels)
 
     def forward(self, x: Tensor, training: bool, relu: bool = False) -> Tensor:
-        """``bn(x)``, or ``relu(bn(x))`` when ``relu`` is set.
+        """``bn(x)``, or ``relu(bn(x))`` when ``relu`` is set, as one node.
 
-        In train mode the ReLU is part of the batch-norm node, whose
-        backward masks its upstream by ``out > 0`` before the batch-norm
-        closed form.  In eval mode it is a separate node.
+        The mode picks the statistics and nothing else.  With ``relu`` set,
+        the node's backward masks its upstream by ``out > 0`` before the
+        batch-norm closed form.
         """
         B, C, H, W = x.shape
         if C != self.channels:
             raise ShapeError(f"batchnorm: {C} channels, layer has {self.channels}")
-        if not training:
-            out = self._eval_forward(x)
-            return _relu(out) if relu else out
-        if B * H * W < 2:
-            raise DegenerateStatisticsError(
-                "train-mode batch norm needs >= 2 elements per channel"
-            )
         xd = x.data
         gamma = self.gamma.data.reshape(1, C, 1, 1)
-        mu = xd.mean(axis=(0, 2, 3), keepdims=True)
-        out = xd - mu
-        var = (out * out).mean(axis=(0, 2, 3), keepdims=True)
-        rstd = (var + self.epsilon) ** -0.5
+        if training:
+            if B * H * W < 2:
+                raise DegenerateStatisticsError(
+                    "train-mode batch norm needs >= 2 elements per channel"
+                )
+            mu = xd.mean(axis=(0, 2, 3), keepdims=True)
+            out = xd - mu
+            var = (out * out).mean(axis=(0, 2, 3), keepdims=True)
+            rstd = (var + self.epsilon) ** -0.5
+            m = self.momentum
+            self.running_mean = (1 - m) * self.running_mean + m * mu.reshape(C)
+            self.running_var = (1 - m) * self.running_var + m * var.reshape(C)
+        else:
+            mu = self.running_mean.reshape(1, C, 1, 1)
+            out = xd - mu
+            rstd = 1.0 / np.sqrt(self.running_var + self.epsilon).reshape(1, C, 1, 1)
         out *= rstd
         out *= gamma
         out += self.beta.data.reshape(1, C, 1, 1)
         if relu:
-            # Byte-equal to tensor.relu: everything not > 0, NaN too, is +0.
-            np.copyto(out, 0.0, where=~(out > 0))
-        m = self.momentum
-        self.running_mean = (1 - m) * self.running_mean + m * mu.reshape(C)
-        self.running_var = (1 - m) * self.running_var + m * var.reshape(C)
-        inv_n = 1.0 / (B * H * W)
+            _relu_(out)
 
         def bwd(g):
             if relu:
@@ -415,30 +418,15 @@ class BatchNormLayer(Module):
             xhat *= rstd
             gbeta = g.sum(axis=(0, 2, 3))
             ggamma = (g * xhat).sum(axis=(0, 2, 3))
+            if not training:
+                # The running statistics are constants: no batch-mean terms.
+                return (g * gamma) * rstd, ggamma, gbeta
+            inv_n = 1.0 / (B * H * W)
             gx = g - (gbeta * inv_n).reshape(1, C, 1, 1)
             xhat *= (ggamma * inv_n).reshape(1, C, 1, 1)
             gx -= xhat
             gx *= gamma * rstd
             return gx, ggamma, gbeta
-
-        return make_node(out, (x, self.gamma, self.beta), bwd)
-
-    def _eval_forward(self, x: Tensor) -> Tensor:
-        """``((x - mean) * rstd) * gamma + beta`` with the running statistics,
-        as one node computed in place on one buffer."""
-        C = self.channels
-        rm = self.running_mean.reshape(1, C, 1, 1)
-        rstd = 1.0 / np.sqrt(self.running_var + self.epsilon).reshape(1, C, 1, 1)
-        xd, gamma, beta = x.data, self.gamma.data, self.beta.data
-        out = xd - rm
-        out *= rstd
-        out *= gamma.reshape(1, C, 1, 1)
-        out += beta.reshape(1, C, 1, 1)
-
-        def bwd(g):
-            xhat = (xd - rm) * rstd
-            gx = (g * gamma.reshape(1, C, 1, 1)) * rstd
-            return gx, (g * xhat).sum(axis=(0, 2, 3)), g.sum(axis=(0, 2, 3))
 
         return make_node(out, (x, self.gamma, self.beta), bwd)
 

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crace import CraceConfig, CraceModule
-from .layers import BatchNormLayer, Conv2dLayer, ConvBnRelu, Module, relu, upsample
-from .tensor import Tensor, ShapeError, no_grad, sigmoid
+from .layers import BatchNormLayer, Conv2dLayer, ConvBnRelu, Module, upsample
+from .tensor import Tensor, ShapeError, no_grad, relu, sigmoid
 
 __all__ = ["EncoderConfig", "NetworkConfig", "SodNetwork", "InputSizeError", "ModeError"]
 
@@ -215,14 +215,7 @@ class SodNetwork(Module):
 
     def _refine(self, image: Tensor, depth: Tensor | None, training: bool):
         """Encode and run the context flow: (refined levels, depth features)."""
-        if self.mode == "rgb":
-            if depth is not None:
-                raise ModeError("RGB-mode network does not accept depth input")
-            depth_features = None
-        else:
-            if depth is None:
-                raise ModeError("RGB-D network requires a depth map")
-            depth_features = self.encode_depth(depth, training)
+        depth_features = None if depth is None else self.encode_depth(depth, training)
         features = self.encode(image, training)
         return self.context_flow(features, depth_features, training), depth_features
 

@@ -26,12 +26,14 @@ exceptions included.  The state lives in a
 on one thread leaves graphs recorded on other threads untouched.
 
 The op set is what the package uses: broadcasting arithmetic, ``relu``,
-``sigmoid``, sums and means, concatenation, padding and cropping.  A
-composite with a closed-form gradient records one node of its own through
-:func:`make_node` instead of a chain of these (train-mode batch norm and
-convolution in ``layers``, BCE and soft IoU in ``losses``), so it keeps no
-intermediate arrays in the graph.  Only ``sigmoid``'s backward departs
-from plain IEEE arithmetic: it flushes subnormal results to zero.
+``sigmoid``, sums and means, channel concatenation, padding and cropping.
+A composite with a closed-form gradient records one node of its own
+through :func:`make_node` instead of a chain of these (batch norm, with or
+without a following ReLU, and convolution in ``layers``; BCE and soft IoU
+in ``losses``), so it keeps no intermediate arrays in the graph.  ReLU has
+one in-place kernel, ``_relu_``, which ``relu`` and the batch-norm node
+share.  Only ``sigmoid``'s backward departs from plain IEEE arithmetic: it
+flushes subnormal results to zero.
 
 Tensors are immutable after creation except for their ``grad`` field.  A
 graph and its tensors are confined to one thread for the duration of a
@@ -56,7 +58,6 @@ __all__ = [
     "ShapeError",
     "as_tensor",
     "backward",
-    "concat",
     "concat_channels",
     "crop2d",
     "make_node",
@@ -363,14 +364,25 @@ def sigmoid(x) -> Tensor:
     return make_node(y, (x,), bwd)
 
 
+def _relu_(a: np.ndarray) -> np.ndarray:
+    """ReLU of ``a`` in place: everything not > 0, NaN and -0.0 too, is +0.0.
+
+    The package's one ReLU formula, byte-equal to ``np.where(a > 0, a, 0.0)``:
+    ``fmax`` maps NaN and negatives to 0 and adding +0.0 turns -0.0 into +0.0.
+    Its gradient mask is the output's ``> 0``."""
+    np.fmax(a, 0.0, out=a)
+    a += 0.0
+    return a
+
+
 def relu(x) -> Tensor:
     x = as_tensor(x)
-    mask = x.data > 0
+    out = _relu_(x.data.copy())
 
     def bwd(g):
-        return (g * mask,)
+        return (g * (out > 0),)
 
-    return make_node(np.where(mask, x.data, 0.0), (x,), bwd)
+    return make_node(out, (x,), bwd)
 
 
 # -- reductions ---------------------------------------------------------
@@ -416,40 +428,21 @@ def reduce_mean(x, axis=None, keepdims: bool = False) -> Tensor:
 # -- concatenation and 2-D padding/cropping -----------------------------
 
 
-def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
-    ts = [as_tensor(t) for t in tensors]
-    if not ts:
-        raise ShapeError("concat of zero tensors")
-    base = list(ts[0].shape)
-    for t in ts[1:]:
-        other = list(t.shape)
-        if len(other) != len(base):
-            raise ShapeError(f"concat: rank mismatch {ts[0].shape} vs {t.shape}")
-        for d, (i, j) in enumerate(zip(base, other)):
-            if d != (axis % len(base)) and i != j:
-                raise ShapeError(
-                    f"concat: dim {d} differs ({ts[0].shape} vs {t.shape}) off the concat axis"
-                )
-    sizes = [t.shape[axis] for t in ts]
-    offsets = np.cumsum([0] + sizes)
-
-    def bwd(g):
-        sl = [slice(None)] * g.ndim
-        outs = []
-        for i in range(len(sizes)):
-            sl[axis] = slice(offsets[i], offsets[i + 1])
-            outs.append(g[tuple(sl)])
-        return tuple(outs)
-
-    return make_node(np.concatenate([t.data for t in ts], axis=axis), tuple(ts), bwd)
-
-
 def concat_channels(tensors: Sequence[Tensor]) -> Tensor:
     """Concatenate 4-D feature maps along the channel axis."""
-    for t in tensors:
-        if as_tensor(t).ndim != 4:
-            raise ShapeError("concat_channels expects (B, C, H, W) tensors")
-    return concat(tensors, axis=1)
+    ts = [as_tensor(t) for t in tensors]
+    if not ts or any(t.ndim != 4 for t in ts):
+        raise ShapeError("concat_channels expects one or more (B, C, H, W) tensors")
+    base = ts[0].shape
+    for t in ts[1:]:
+        if t.shape[:1] + t.shape[2:] != base[:1] + base[2:]:
+            raise ShapeError(f"concat_channels: {base} and {t.shape} differ off the channel axis")
+    offsets = np.cumsum([0] + [t.shape[1] for t in ts])
+
+    def bwd(g):
+        return tuple(g[:, a:b] for a, b in zip(offsets[:-1], offsets[1:]))
+
+    return make_node(np.concatenate([t.data for t in ts], axis=1), tuple(ts), bwd)
 
 
 def pad_bottom_right(x: Tensor, pad_h: int, pad_w: int) -> Tensor:

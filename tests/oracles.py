@@ -166,6 +166,16 @@ def conv2d_grad_bruteforce(x, w, g, stride=1, dilation=1):
     return gx, gw, gb
 
 
+# -- ReLU by selection --------------------------------------------------------------
+
+
+def relu_where(x):
+    """ReLU as a selection: ``x`` where ``x > 0``, +0.0 everywhere else, so
+    NaN and -0.0 give +0.0."""
+    x = np.asarray(x, dtype=np.float64)
+    return np.where(x > 0, x, 0.0)
+
+
 # -- batch norm as a composition of elementwise nodes -----------------------------
 
 

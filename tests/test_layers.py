@@ -24,6 +24,7 @@ from oracles import (
     conv2d_grad_bruteforce,
     erode_bruteforce,
     erode_windows,
+    relu_where,
     upsample_bruteforce,
 )
 
@@ -363,13 +364,21 @@ class TestBatchNorm:
         constant=st.booleans(),
         zeros=st.booleans(),
         seed=st.integers(0, 2**31 - 1),
+        training=st.booleans(),
     )
-    @example(B=1, C=2, H=1, W=2, constant=False, zeros=False, seed=0)
-    @example(B=2, C=3, H=1, W=1, constant=True, zeros=True, seed=1)
-    def test_fused_relu_equals_relu_of_batchnorm(self, B, C, H, W, constant, zeros, seed):
-        assume(B * H * W >= 2)
+    @example(B=1, C=2, H=1, W=2, constant=False, zeros=False, seed=0, training=True)
+    @example(B=2, C=3, H=1, W=1, constant=True, zeros=True, seed=1, training=True)
+    @example(B=1, C=2, H=1, W=1, constant=False, zeros=False, seed=0, training=False)
+    @example(B=2, C=3, H=1, W=1, constant=True, zeros=True, seed=1, training=False)
+    def test_fused_relu_equals_relu_of_batchnorm(
+        self, B, C, H, W, constant, zeros, seed, training
+    ):
+        # The reference is the plain node followed by a node of its own
+        # that applies the selection oracle and masks the upstream by it.
+        assume(not training or B * H * W >= 2)
         rng = np.random.default_rng(seed)
         gamma, beta = rng.normal(size=C), rng.normal(size=C)
+        running_mean, running_var = rng.normal(size=C), rng.uniform(0.2, 3.0, size=C)
         xd = rng.normal(0.5, 2.0, size=(B, C, H, W))
         if constant:
             xd[:, 0] = 3.7
@@ -379,17 +388,23 @@ class TestBatchNorm:
             xd[rng.uniform(size=xd.shape) < 0.3] = 0.0
             xd[:, -1] = 0.0
             gamma[-1], beta[-1] = -1.5, -0.0
+            running_mean[-1] = 0.0
         upstream = t(rng.normal(size=xd.shape))
         results = []
         for fused in (False, True):
             bn = BatchNormLayer(C)
             bn.gamma.data = gamma.copy()
             bn.beta.data = beta.copy()
+            if not training:
+                bn.running_mean = running_mean.copy()
+                bn.running_var = running_var.copy()
             x = t(xd, grad=True)
             if fused:
-                out = bn.forward(x, True, relu=True)
+                out = bn.forward(x, training, relu=True)
             else:
-                out = relu(bn.forward(x, True))
+                y = bn.forward(x, training)
+                mask = y.data > 0
+                out = make_node(relu_where(y.data), (y,), lambda g: (g * mask,))
             backward((out * upstream).sum())
             arrays = (out.data, bn.running_mean, bn.running_var, x.grad, bn.gamma.grad,
                       bn.beta.grad)
@@ -400,7 +415,7 @@ class TestBatchNorm:
         bn = BatchNormLayer(2)
         xd = np.random.default_rng(28).normal(size=(2, 2, 3, 3))
         xd[0, 0, 1, 1] = np.nan
-        want = relu(BatchNormLayer(2).forward(t(xd), True)).data
+        want = relu_where(BatchNormLayer(2).forward(t(xd), True).data)
         got = bn.forward(t(xd), True, relu=True).data
         assert np.all(got[:, 0] == 0.0)
         assert got.tobytes() == want.tobytes()
@@ -422,24 +437,26 @@ class TestBatchNorm:
 
     @pytest.mark.parametrize("fused", [False, True])
     def test_train_closure_keeps_only_per_channel_arrays(self, fused):
-        # x_hat is recomputed from the input in backward, not kept.
+        # x_hat is recomputed from the input in backward, not kept, in
+        # train and eval mode alike.
         C = 3
-        bn = BatchNormLayer(C)
-        x = t(np.random.default_rng(26).normal(size=(2, C, 4, 4)), grad=True)
-        out = bn.forward(x, training=True, relu=fused)
-        cells = [cell.cell_contents for cell in out._backward.__closure__]
-        for value in cells:
-            assert not isinstance(value, Tensor)
-            if isinstance(value, np.ndarray) and value is not out.data and value is not x.data:
-                assert value.size <= C, value.shape
+        rng = np.random.default_rng(26)
+        for training in (True, False):
+            bn = self._eval_layer(rng)
+            x = t(rng.normal(size=(2, C, 4, 4)), grad=True)
+            out = bn.forward(x, training=training, relu=fused)
+            cells = [cell.cell_contents for cell in out._backward.__closure__]
+            for value in cells:
+                assert not isinstance(value, Tensor)
+                if isinstance(value, np.ndarray) and value is not out.data and value is not x.data:
+                    assert value.size <= C, value.shape
 
     def test_eval_mode_relu_is_relu_of_the_eval_node(self):
         rng = np.random.default_rng(27)
         bn = self._eval_layer(rng)
         x = t(rng.normal(size=(2, 3, 4, 5)), grad=True)
         out = bn.forward(x, training=False, relu=True)
-        (inner,) = out._node.parents
-        assert inner.parents == (x._node, bn.gamma._node, bn.beta._node)
+        assert out._node.parents == (x._node, bn.gamma._node, bn.beta._node)
         assert out.data.tobytes() == relu(bn.forward(x, training=False)).data.tobytes()
 
 

@@ -119,6 +119,11 @@ class TestPredict:
             small_net("rgb").forward(rand_image(), Tensor(np.zeros((1, 1, 64, 64))))
         with pytest.raises(ModeError):
             small_net("rgbd").forward(rand_image())
+        image = rand_image().data[0]
+        with pytest.raises(ModeError):
+            small_net("rgb").infer(image, np.zeros((64, 64)))
+        with pytest.raises(ModeError):
+            small_net("rgbd").infer(image)
 
 
 class TestInfer:

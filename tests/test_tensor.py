@@ -22,7 +22,7 @@ from cracenet.tensor import (
     relu,
     zero_grads,
 )
-from oracles import backward_every_node, check_gradients, sigmoid_masked
+from oracles import backward_every_node, check_gradients, relu_where, sigmoid_masked
 
 
 def t(arr, grad=True):
@@ -134,6 +134,31 @@ class TestSigmoidPaths:
         assert np.all(x.grad[sub] == 0.0)
         # array_equal: accumulating into zeroed grads turns -0.0 into 0.0
         assert np.array_equal(x.grad[~sub], plain[~sub])
+
+
+class TestReluKernel:
+    """The one ReLU kernel against the selection oracle."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                    min_size=1, max_size=40),
+           st.integers(0, 2**31 - 1))
+    def test_byte_equal_to_where_and_masks_the_gradient(self, values, seed):
+        rng = np.random.default_rng(seed)
+        specials = [np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324,
+                    1e-310, -1e-310, TINY, -TINY]
+        x = np.concatenate([values, rng.normal(size=50), specials])
+        rng.shuffle(x)
+        # fmax's sign for -0.0 depends on where the element falls in numpy's
+        # vector loop, so -0.0 is also checked at every position of short runs.
+        for a in [x] + [np.full(n, -0.0) for n in range(1, 18)]:
+            assert tensor_module._relu_(a.copy()).tobytes() == relu_where(a).tobytes()
+        out = relu(t(x))
+        assert out.data.tobytes() == relu_where(x).tobytes()
+        # The rule itself: a loss over these values would overflow.
+        g = rng.normal(size=x.shape)
+        (gx,) = out._node.backward_fn(g)
+        assert gx.tobytes() == (g * (x > 0)).tobytes()
 
 
 class TestBackward:
