@@ -25,6 +25,7 @@ from .losses import (
     make_edge_gt,
     multilevel_edge_loss,
     multilevel_saliency_loss,
+    total_loss,
     total_loss_rgb,
     total_loss_rgbd,
 )

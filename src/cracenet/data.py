@@ -157,6 +157,11 @@ class Sample:
             raise ValueError(f"{self.id}: depth dims differ")
 
 
+def _load_gt(path) -> np.ndarray:
+    """A ground-truth map, binarized at 0.5."""
+    return (load_gray(path) >= 0.5).astype(np.float64)
+
+
 def load_dataset(root, with_depth: bool = False) -> list[Sample]:
     """Load every sample under root/images, root/gt (, root/depth)."""
     root = Path(root)
@@ -166,7 +171,7 @@ def load_dataset(root, with_depth: bool = False) -> list[Sample]:
     samples = []
     for img_path in image_files:
         stem = img_path.stem
-        gt = (load_gray(root / "gt" / f"{stem}.pgm") >= 0.5).astype(np.float64)
+        gt = _load_gt(root / "gt" / f"{stem}.pgm")
         depth = None
         if with_depth:
             depth = load_gray(root / "depth" / f"{stem}.pgm")

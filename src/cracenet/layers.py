@@ -299,7 +299,9 @@ def _conv_flat(x: Tensor, w: Tensor, b: Tensor | None, k: int, s: int, d: int) -
         out += b.data[:, None, None]
 
     parents = (x, w) if b is None else (x, w, b)
-    xd, need_gx, has_bias = x.data, x.requires_grad, b is not None
+    # Backward repacks the weights only for the input gradient.  It may read
+    # w.data then: parameters get new arrays, never in-place writes.
+    xd, wd, need_gx, has_bias = x.data, w.data, x.requires_grad, b is not None
 
     def bwd(g):
         gf = np.zeros((B, O, Ho, Wq))
@@ -317,6 +319,7 @@ def _conv_flat(x: Tensor, w: Tensor, b: Tensor | None, k: int, s: int, d: int) -
             # tails stay 0, so it is added to gq as one contiguous run: numpy
             # would copy a strided (C, n) target before adding in place.
             L = geo.length
+            wt = np.ascontiguousarray(wd.transpose(2, 3, 0, 1))
             gq = geo.zeros()
             gq_runs = gq.reshape(B, -1, C * L)
             tmp = np.zeros((C, L))
@@ -325,7 +328,7 @@ def _conv_flat(x: Tensor, w: Tensor, b: Tensor | None, k: int, s: int, d: int) -
                 for i, j, p, off in reversed(taps):
                     np.matmul(wt[i, j].T, gf[bi], out=tmp[:, :n])
                     gq_runs[bi, p, off : off + run] += tmp.reshape(-1)[:run]
-            del gf, tmp
+            del gf, tmp, wt
             gx = geo.gather(gq)
         if not has_bias:
             return gx, gw

@@ -2,8 +2,11 @@
 
 Losses take probability maps (post-sigmoid) and binary ground truth.
 Pixel terms are averaged per image and then over the batch, so the loss
-scale does not grow with resolution.  Boundary ground truth is the mask
-minus its erosion, giving a thin band around every object.
+scale does not grow with resolution; a 4-D input is a batch of images,
+any other input one image.  Boundary ground truth is the mask minus its
+erosion, giving a thin band around every object.  The objective,
+:func:`total_loss`, is the mean of the saliency, depth-head and boundary
+terms, for RGB and RGB-D alike.
 
 :func:`bce_loss` and :func:`iou_loss` each record one graph node with a
 closed-form backward.  Their forward keeps the operation order of the
@@ -30,6 +33,7 @@ __all__ = [
     "multilevel_edge_loss",
     "multilevel_saliency_loss",
     "saliency_term",
+    "total_loss",
     "total_loss_rgb",
     "total_loss_rgbd",
 ]
@@ -52,19 +56,14 @@ class LossConfig:
             raise ValueError("at least one of BCE / IoU must stay enabled")
 
 
-def _pair(pred, target) -> tuple[Tensor, Tensor]:
+def _pair(pred, target) -> tuple[Tensor, Tensor, int]:
+    """Both as tensors of one shape, and their image count: the leading
+    axis of a 4-D input; any other input is one image."""
     pred = as_tensor(pred)
     target = as_tensor(target)
     if pred.shape != target.shape:
         raise ShapeError(f"prediction shape {pred.shape} != target shape {target.shape}")
-    return pred, target
-
-
-def _per_image_axes(t: Tensor):
-    """Reduce over everything but the leading batch axis (if 4-D)."""
-    if t.ndim == 4:
-        return (1, 2, 3)
-    return None
+    return pred, target, pred.shape[0] if pred.ndim == 4 else 1
 
 
 def bce_loss(pred: Tensor, target) -> Tensor:
@@ -72,22 +71,20 @@ def bce_loss(pred: Tensor, target) -> Tensor:
 
     The clamp passes gradient only where ``pred`` lies inside
     ``[PROB_EPS, 1 - PROB_EPS]``, both bounds included."""
-    pred, target = _pair(pred, target)
+    pred, target, images = _pair(pred, target)
     pd, td = pred.data, target.data
     lo, hi = PROB_EPS, 1.0 - PROB_EPS
     p = np.clip(pd, lo, hi)
     pix = td * np.log(p) + (1.0 - td) * np.log(1.0 - p)
     np.negative(pix, out=pix)
-    axes = _per_image_axes(pred)
-    value = pix.mean(axis=axes).mean() if axes else pix.mean()
-    batch = pd.shape[0] if axes else 1
-    count = pd.size // batch
+    value = pix.reshape(images, -1).mean(axis=1).mean()
+    count = pd.size // images
     need_gp, need_gt = pred.requires_grad, target.requires_grad
 
     def bwd(g):
         # Scaled in the order of the elementwise chain (batch mean,
         # per-image mean, negation), which keeps the gradient bit-identical.
-        gm = g * (1.0 / batch) * (1.0 / count) * -1.0
+        gm = g * (1.0 / images) * (1.0 / count) * -1.0
         p = np.clip(pd, lo, hi)
         q = 1.0 - p
         gp = gt = None
@@ -103,28 +100,24 @@ def bce_loss(pred: Tensor, target) -> Tensor:
 
 def iou_loss(pred: Tensor, target) -> Tensor:
     """1 - smoothed soft IoU, computed per image and batch-averaged."""
-    pred, target = _pair(pred, target)
+    pred, target, images = _pair(pred, target)
     pd, td = pred.data, target.data
-    axes = _per_image_axes(pred)
-    inter = (pd * td).sum(axis=axes) + 1.0
-    union = (pd + td - pd * td).sum(axis=axes) + 1.0
-    loss = 1.0 - inter / union
-    value = loss.mean() if axes else loss
-    batch = pd.shape[0] if axes else 1
+    pf, tf = pd.reshape(images, -1), td.reshape(images, -1)
+    inter = (pf * tf).sum(axis=1) + 1.0
+    union = (pf + tf - pf * tf).sum(axis=1) + 1.0
+    value = (1.0 - inter / union).mean()
     need_gp, need_gt = pred.requires_grad, target.requires_grad
 
     def bwd(g):
         # d(1 - I/U) = -dI/U + I dU/U^2, per image, with dI = t dp and
         # dU = (1 - t) dp (and the same with p and t swapped).
-        gr = -(g * (1.0 / batch))
-        g_inter = gr / union
-        g_union = -gr * inter / (union * union)
-        if axes:
-            g_inter = g_inter.reshape(-1, 1, 1, 1)
-            g_union = g_union.reshape(-1, 1, 1, 1)
+        gr = -(g * (1.0 / images))
+        g_inter = (gr / union)[:, None]
+        g_union = (-gr * inter / (union * union))[:, None]
 
         def side(other):
-            return g_inter * other + g_union * (1.0 - other)
+            other = other.reshape(images, -1)
+            return (g_inter * other + g_union * (1.0 - other)).reshape(pd.shape)
 
         return (
             side(td) if need_gp else None,
@@ -149,15 +142,15 @@ def saliency_term(pred: Tensor, target, use_bce: bool = True, use_iou: bool = Tr
         parts.append(iou_loss(pred, target))
     if not parts:
         raise ValueError("at least one of BCE / IoU must stay enabled")
-    total = parts[0]
-    for p in parts[1:]:
-        total = total + p
+    return _sum(parts)
+
+
+def _sum(terms: Sequence[Tensor]) -> Tensor:
+    """Sum of ``terms`` in the order given."""
+    total = as_tensor(terms[0])
+    for term in terms[1:]:
+        total = total + term
     return total
-
-
-def _check_levels(preds: Sequence[Tensor]) -> None:
-    if len(preds) != NUM_LEVELS:
-        raise ShapeError(f"expected {NUM_LEVELS} prediction levels, got {len(preds)}")
 
 
 def multilevel_saliency_loss(
@@ -167,27 +160,27 @@ def multilevel_saliency_loss(
     use_iou: bool = True,
 ) -> Tensor:
     """Saliency supervision summed over all four decoder levels."""
-    _check_levels(preds)
-    total = None
-    for pred in preds:
-        term = saliency_term(pred, target, use_bce, use_iou)
-        total = term if total is None else total + term
-    return total
+    if len(preds) != NUM_LEVELS:
+        raise ShapeError(f"expected {NUM_LEVELS} prediction levels, got {len(preds)}")
+    return _sum([saliency_term(pred, target, use_bce, use_iou) for pred in preds])
 
 
 def multilevel_edge_loss(preds: Sequence[Tensor], edge_target) -> Tensor:
     """Boundary supervision (BCE form) summed over all four levels."""
-    _check_levels(preds)
-    total = None
-    for pred in preds:
-        term = bce_loss(pred, edge_target)
-        total = term if total is None else total + term
-    return total
+    return multilevel_saliency_loss(preds, edge_target, use_bce=True, use_iou=False)
+
+
+def total_loss(*terms: Tensor) -> Tensor:
+    """The objective: the mean of ``terms``, summed in the order given and
+    divided once by their count."""
+    if not terms:
+        raise ValueError("total_loss needs at least one term")
+    return _sum(terms) / float(len(terms))
 
 
 def total_loss_rgb(saliency_loss: Tensor, edge_loss: Tensor) -> Tensor:
-    return (as_tensor(saliency_loss) + as_tensor(edge_loss)) / 2.0
+    return total_loss(saliency_loss, edge_loss)
 
 
 def total_loss_rgbd(saliency_loss: Tensor, depth_loss: Tensor, edge_loss: Tensor) -> Tensor:
-    return (as_tensor(saliency_loss) + as_tensor(depth_loss) + as_tensor(edge_loss)) / 3.0
+    return total_loss(saliency_loss, depth_loss, edge_loss)

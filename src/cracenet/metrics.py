@@ -452,7 +452,7 @@ def evaluate_dataset(pred_dir, gt_dir) -> MetricReport:
     Filenames (stems) must match exactly; any unmatched file on either
     side is an error, never silently skipped.
     """
-    from .data import load_gray
+    from .data import _load_gt, load_gray
 
     pred_dir, gt_dir = Path(pred_dir), Path(gt_dir)
     pred_files = {p.stem: p for p in sorted(pred_dir.glob("*.pgm"))}
@@ -468,5 +468,5 @@ def evaluate_dataset(pred_dir, gt_dir) -> MetricReport:
         raise ValueError("empty dataset")
     ids = sorted(pred_files)
     preds = [load_gray(pred_files[i]) for i in ids]
-    gts = [(load_gray(gt_files[i]) >= 0.5).astype(np.float64) for i in ids]
+    gts = [_load_gt(gt_files[i]) for i in ids]
     return evaluate_pairs(preds, gts, ids)

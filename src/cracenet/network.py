@@ -26,8 +26,6 @@ from .tensor import Tensor, ShapeError, no_grad, relu, sigmoid
 
 __all__ = ["EncoderConfig", "NetworkConfig", "SodNetwork", "InputSizeError", "ModeError"]
 
-STRIDES = (4, 8, 16, 32)
-
 
 class InputSizeError(ValueError):
     """Input spatial dims are not divisible by the encoder stride."""

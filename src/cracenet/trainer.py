@@ -29,8 +29,7 @@ from .losses import (
     multilevel_edge_loss,
     multilevel_saliency_loss,
     saliency_term,
-    total_loss_rgb,
-    total_loss_rgbd,
+    total_loss,
 )
 from .metrics import MetricReport, evaluate_pairs
 from .network import EncoderConfig, NetworkConfig, SodNetwork, _Undrawn
@@ -217,32 +216,31 @@ def augment(
 # -- loss assembly ----------------------------------------------------------------
 
 
-def _saliency_loss(maps: list, gt4: np.ndarray, loss_cfg: LossConfig):
-    """The S or D term: every level, or the final level only."""
-    if loss_cfg.use_multilevel:
-        return multilevel_saliency_loss(
-            maps, gt4, use_bce=loss_cfg.use_bce, use_iou=loss_cfg.use_iou
-        )
-    return saliency_term(maps[0], gt4, loss_cfg.use_bce, loss_cfg.use_iou)
+def _assemble_losses(outputs: dict, gt: np.ndarray, edge: np.ndarray, loss_cfg: LossConfig):
+    """The total loss and the logged terms L_S, L_E (and L_D with a depth head).
 
+    Multi-level supervision covers every decoder level, else the final one
+    only; only supervised levels get a sigmoid.  The total is the mean of
+    S (, D) (, E): L_E is always logged but joins it only with edge supervision.
+    """
+    multi = loss_cfg.use_multilevel
+    pixel = {"use_bce": loss_cfg.use_bce, "use_iou": loss_cfg.use_iou}
 
-def _assemble_losses(outputs: dict, gt: np.ndarray, edge: np.ndarray, loss_cfg: LossConfig, mode: str):
-    gt4 = gt[:, None]
-    edge4 = edge[:, None]
-    l_s = _saliency_loss([sigmoid(t) for t in outputs["saliency_logits"]], gt4, loss_cfg)
-    edges = [sigmoid(t) for t in outputs["edge_logits"]]
-    if loss_cfg.use_multilevel:
-        l_e = multilevel_edge_loss(edges, edge4)
-    else:
-        l_e = bce_loss(edges[0], edge4)
-    parts = {"L_S": l_s.item(), "L_E": l_e.item()}
-    if mode == "rgbd":
-        l_d = _saliency_loss([sigmoid(t) for t in outputs["depth_logits"]], gt4, loss_cfg)
-        parts["L_D"] = l_d.item()
-        total = total_loss_rgbd(l_s, l_d, l_e) if loss_cfg.use_edge else (l_s + l_d) / 2.0
-    else:
-        total = total_loss_rgb(l_s, l_e) if loss_cfg.use_edge else l_s
-    return total, parts
+    def supervise(key, target):
+        maps = [sigmoid(t) for t in outputs[key][: None if multi else 1]]
+        target = target[:, None]
+        if key == "edge_logits":
+            return multilevel_edge_loss(maps, target) if multi else bce_loss(maps[0], target)
+        if multi:
+            return multilevel_saliency_loss(maps, target, **pixel)
+        return saliency_term(maps[0], target, **pixel)
+
+    terms = {"L_S": supervise("saliency_logits", gt), "L_E": supervise("edge_logits", edge)}
+    if "depth_logits" in outputs:
+        terms["L_D"] = supervise("depth_logits", gt)
+    names = ["L_S", "L_D", "L_E"] if loss_cfg.use_edge else ["L_S", "L_D"]
+    total = total_loss(*(terms[name] for name in names if name in terms))
+    return total, {name: term.item() for name, term in terms.items()}
 
 
 # -- checkpoint plumbing ------------------------------------------------------------
@@ -389,7 +387,7 @@ def _train_step(model, params, velocities, samples, step, cfg, loss_cfg) -> dict
     depth_t = Tensor(np.stack(depths)[:, None]) if cfg.mode == "rgbd" else None
 
     outputs = model.forward(image_t, depth_t, training=True)
-    total, parts = _assemble_losses(outputs, np.stack(gts), np.stack(edges), loss_cfg, cfg.mode)
+    total, parts = _assemble_losses(outputs, np.stack(gts), np.stack(edges), loss_cfg)
     del outputs  # no backward rule reads the logits
     if not np.isfinite(total.item()):
         raise DivergenceError(f"loss became non-finite at step {step}")
@@ -544,16 +542,14 @@ def evaluate_model(model: SodNetwork, samples: list[Sample]) -> MetricReport:
     return evaluate_pairs(preds, gts, [s.id for s in samples])
 
 
-def predict_to_dir(
-    model: SodNetwork, samples: list[Sample], out_dir, dump_levels=False
-) -> list[np.ndarray]:
-    """Write final saliency maps (and per-level maps on request) as PGM.
+def predict_to_dir(model: SodNetwork, samples: list[Sample], out_dir) -> list[np.ndarray]:
+    """Write final saliency maps as PGM.
 
     Returns the final probability maps before quantization.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    finals = [predict_map(model, s, out_dir if dump_levels else None) for s in samples]
+    finals = predict_maps(model, samples)
     for s, final in zip(samples, finals):
         save_gray(out_dir / f"{s.id}.pgm", final)
     return finals

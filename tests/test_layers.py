@@ -129,6 +129,25 @@ class TestConv2d:
         held = [value for value in cells if isinstance(value, np.ndarray)]
         assert held and max(a.nbytes for a in held) <= x.data.nbytes
 
+    @pytest.mark.parametrize("stride, dilation", [(1, 1), (2, 1), (1, 2)])
+    def test_backward_keeps_the_weight_array_not_a_repack(self, stride, dilation):
+        # Parameters get new arrays, never in-place writes, so the node can
+        # hold the weight array itself and repack it only for the input
+        # gradient; a weight replaced after the forward leaves it unchanged.
+        rng = np.random.default_rng(23)
+        x = t(rng.normal(size=(2, 3, 10, 10)), grad=True)
+        layer = Conv2dLayer(3, 4, 3, stride, dilation, rng=rng)
+        node = conv2d(x, layer)
+        g = rng.normal(size=node.shape)
+        want = conv2d(x, layer)._backward(g)
+        cells = [cell.cell_contents for cell in node._backward.__closure__]
+        held = [value for value in cells if isinstance(value, np.ndarray)]
+        assert len(held) == 2
+        assert any(a is x.data for a in held) and any(a is layer.weight.data for a in held)
+        layer.weight.data = layer.weight.data + 1.0
+        for got, ref in zip(node._backward(g), want):
+            assert got.tobytes() == ref.tobytes()
+
     def test_gradients_strided_1x1(self):
         rng = np.random.default_rng(13)
         x = t(rng.normal(size=(1, 3, 6, 6)), grad=True)

@@ -10,6 +10,7 @@ from cracenet.losses import (
     make_edge_gt,
     multilevel_edge_loss,
     multilevel_saliency_loss,
+    total_loss,
     total_loss_rgb,
     total_loss_rgbd,
 )
@@ -260,7 +261,65 @@ class TestMultilevel:
         )
 
 
+class TestPerImageRule:
+    """A 4-D input is a batch of images; any other input is one image."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        which=st.sampled_from(["bce", "iou"]),
+        B=st.integers(1, 4),
+        C=st.integers(1, 3),
+        H=st.integers(1, 9),
+        W=st.integers(1, 9),
+        soft_target=st.booleans(),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_batch_loss_is_the_mean_of_its_images_losses_byte_for_byte(
+        self, which, B, C, H, W, soft_target, seed
+    ):
+        fn = {"bce": bce_loss, "iou": iou_loss}[which]
+        rng = np.random.default_rng(seed)
+        p = rng.uniform(size=(B, C, H, W))
+        s = rng.uniform(size=p.shape)
+        if not soft_target:
+            s = (s > 0.5).astype(np.float64)
+        batched = fn(t(p), s).data
+        singles = np.array([fn(t(p[i]), s[i]).item() for i in range(B)])
+        assert batched.tobytes() == singles.mean().tobytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        B=st.integers(1, 3),
+        H=st.integers(1, 8),
+        W=st.integers(1, 8),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_edge_loss_is_the_level_sum_of_bce_byte_for_byte(self, B, H, W, seed):
+        rng = np.random.default_rng(seed)
+        levels = [rng.uniform(size=(B, 1, H, W)) for _ in range(4)]
+        e = (rng.uniform(size=(B, 1, H, W)) > 0.7).astype(np.float64)
+        got_preds = [t(p, grad=True) for p in levels]
+        want_preds = [t(p, grad=True) for p in levels]
+        got = multilevel_edge_loss(got_preds, e)
+        want = bce_loss(want_preds[0], e)
+        for pred in want_preds[1:]:
+            want = want + bce_loss(pred, e)
+        assert got.data.tobytes() == want.data.tobytes()
+        backward(got)
+        backward(want)
+        for a, b in zip(got_preds, want_preds):
+            assert a.grad.tobytes() == b.grad.tobytes()
+
+
 class TestTotals:
+    @pytest.mark.parametrize("terms", [(0.7,), (1.0, 0.5), (0.9, 0.6, 0.3)])
+    def test_total_loss_is_the_mean_of_its_terms(self, terms):
+        assert total_loss(*(t(v) for v in terms)).item() == sum(terms) / len(terms)
+
+    def test_total_loss_of_no_terms_is_refused(self):
+        with pytest.raises(ValueError):
+            total_loss()
+
     def test_zero_components(self):
         assert total_loss_rgb(t(0.0), t(0.0)).item() == 0.0
 

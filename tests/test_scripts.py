@@ -61,6 +61,7 @@ def test_write_run_keeps_other_labels(tmp_path, monkeypatch):
     ("bench_infer.py", {"-h", "--help", "--label", "--src"}),
     ("bench_train.py", {"-h", "--help", "--label", "--src", "--skip"}),
     ("bench_ckpt.py", {"-h", "--help", "--label", "--src"}),
+    ("fingerprint.py", {"-h", "--help", "--src"}),
 ])
 def test_help_lists_the_flags(script, flags):
     proc = subprocess.run([sys.executable, str(SCRIPTS / script), "--help"],

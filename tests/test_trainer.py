@@ -9,9 +9,9 @@ import pytest
 from cracenet import trainer as trainer_module
 from cracenet.crace import CraceConfig
 from cracenet.data import gen_synthetic, load_checkpoint, load_dataset, save_checkpoint
-from cracenet.losses import LossConfig
+from cracenet.losses import LossConfig, make_edge_gt, total_loss
 from cracenet.network import EncoderConfig, NetworkConfig, SodNetwork
-from cracenet.tensor import ShapeError, Tensor
+from cracenet.tensor import ShapeError, Tensor, backward
 from cracenet.trainer import (
     ABLATION_SCHEDULE,
     DivergenceError,
@@ -347,6 +347,75 @@ class TestTrainLoop:
     def test_mode_mismatch_rejected(self, dataset):
         with pytest.raises(ValueError):
             train(dataset, tiny_train_cfg(mode="rgbd"), tiny_net_cfg("rgb"))
+
+
+def supervised_run(loss_cfg, levels: dict, gt, edge):
+    """Total, logged terms and leaf logits of one ``_assemble_losses`` call on
+    fresh leaves holding ``levels`` (key -> the four levels' arrays)."""
+    outputs = {key: [Tensor(a, requires_grad=True) for a in maps] for key, maps in levels.items()}
+    total, parts = trainer_module._assemble_losses(outputs, gt, edge, loss_cfg)
+    backward(total)
+    return total.item(), parts, outputs
+
+
+class TestLossAssembly:
+    """Which terms and levels are supervised, and how the total is formed."""
+
+    KEYS = {"rgb": ("saliency_logits", "edge_logits"),
+            "rgbd": ("saliency_logits", "edge_logits", "depth_logits")}
+
+    def inputs(self, mode, seed):
+        rng = np.random.default_rng(seed)
+        levels = {key: [rng.normal(size=(2, 1, 8, 8)) for _ in range(4)]
+                  for key in self.KEYS[mode]}
+        gt = (rng.uniform(size=(2, 8, 8)) > 0.5).astype(np.float64)
+        return levels, gt, np.stack([make_edge_gt(m) for m in gt])
+
+    @pytest.mark.parametrize("mode", ["rgb", "rgbd"])
+    @pytest.mark.parametrize("use_edge", [True, False])
+    @pytest.mark.parametrize("use_multilevel", [True, False])
+    def test_logged_total_is_the_mean_of_the_supervised_terms(
+        self, dataset, mode, use_edge, use_multilevel
+    ):
+        loss_cfg = LossConfig(use_edge=use_edge, use_multilevel=use_multilevel)
+        rows = train(dataset, tiny_train_cfg(mode=mode, total_steps=2), tiny_net_cfg(mode),
+                     loss_cfg).log_rows
+        names = ["L_S", "L_D", "L_E"] if use_edge else ["L_S", "L_D"]
+        for row in rows:
+            assert "L_E" in row and ("L_D" in row) == (mode == "rgbd")
+            terms = [Tensor(row[name]) for name in names if name in row]
+            assert row["L_total"] == total_loss(*terms).item()
+
+    @pytest.mark.parametrize("mode", ["rgb", "rgbd"])
+    def test_without_edge_supervision_l_e_is_logged_but_leaves_the_total(self, mode):
+        levels, gt, edge = self.inputs(mode, 0)
+        loss_cfg = LossConfig(use_edge=False)
+        total, parts, outputs = supervised_run(loss_cfg, levels, gt, edge)
+        assert all(t.grad is None for t in outputs["edge_logits"])
+        moved = {**levels, "edge_logits": [a + 1.0 for a in levels["edge_logits"]]}
+        moved_total, moved_parts, _ = supervised_run(loss_cfg, moved, gt, edge)
+        assert moved_total == total
+        assert moved_parts["L_E"] != parts["L_E"]
+        assert {k: v for k, v in moved_parts.items() if k != "L_E"} == {
+            k: v for k, v in parts.items() if k != "L_E"
+        }
+
+    @pytest.mark.parametrize("mode", ["rgb", "rgbd"])
+    def test_without_multilevel_supervision_levels_3_to_5_are_unread(self, mode):
+        levels, gt, edge = self.inputs(mode, 1)
+        rng = np.random.default_rng(2)
+        moved = {key: [maps[0]] + [rng.normal(size=a.shape) for a in maps[1:]]
+                 for key, maps in levels.items()}
+        runs = [supervised_run(LossConfig(use_multilevel=False), lv, gt, edge)
+                for lv in (levels, moved)]
+        (total, parts, outputs), (moved_total, moved_parts, moved_outputs) = runs
+        assert moved_total == total and moved_parts == parts
+        for key in levels:
+            final, *rest = outputs[key]
+            assert final.grad.tobytes() == moved_outputs[key][0].grad.tobytes()
+            assert all(t.grad is None for t in rest + moved_outputs[key][1:])
+        _, _, multilevel = supervised_run(LossConfig(), levels, gt, edge)
+        assert all(t.grad is not None for maps in multilevel.values() for t in maps)
 
 
 def with_retired_fields(snapshot: dict, **overrides) -> dict:
