@@ -21,8 +21,14 @@ f_global = Tensor(rng.normal(size=(1, 16, 8, 8)))    # stride-16 features
 
 cfg = CraceConfig(n=16, sampling_rates=(1, 2, 4), dilation_rates=(1, 2, 4))
 module = CraceModule(in_local=12, in_global=16, config=cfg, rng=rng)
-fused, parts = module.forward(f_local, f_global, return_parts=True)
+fused = module.forward(f_local, f_global)
 print("output:", fused.shape)
+
+# %%
+# Each stage is a method of its own; stage 1 hands out its attention map
+# and projections on request.
+
+_, parts = module.cross_attention(f_local, f_global, return_parts=True)
 print("cross-attention map:", parts["attention"].shape,
       f"range ({parts['attention'].data.min():.3f}, {parts['attention'].data.max():.3f})")
 

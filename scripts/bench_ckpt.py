@@ -29,7 +29,6 @@ from __future__ import annotations
 import hashlib
 import sys
 import tempfile
-import tracemalloc
 from pathlib import Path
 
 import harness
@@ -37,17 +36,6 @@ import harness
 MODES = ("rgb", "rgbd")
 REPEATS = 15
 MB = 2**20
-
-
-def measure(fn) -> dict:
-    latency = harness.timed(fn, REPEATS)
-    tracemalloc.start()
-    try:
-        fn()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return {"ms": latency, "tracemalloc_peak_mb": peak / MB}
 
 
 def run_case(mode: str) -> dict:
@@ -61,9 +49,12 @@ def run_case(mode: str) -> dict:
     with tempfile.TemporaryDirectory() as work:
         path = Path(work) / "model.ckpt"
         row = {
-            "save": measure(lambda: data.save_checkpoint(path, snapshot, arrays)),
-            "load": measure(lambda: data.load_checkpoint(path)),
-            "rebuild": measure(lambda: trainer.build_model_from_checkpoint(path)),
+            op: harness.measure(fn, REPEATS, "ms")
+            for op, fn in (
+                ("save", lambda: data.save_checkpoint(path, snapshot, arrays)),
+                ("load", lambda: data.load_checkpoint(path)),
+                ("rebuild", lambda: trainer.build_model_from_checkpoint(path)),
+            )
         }
         raw = path.read_bytes()
         rebuilt = trainer.build_model_from_checkpoint(path)[0].export_arrays()

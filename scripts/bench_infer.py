@@ -24,24 +24,11 @@ goes to ``BENCH_infer.json`` as ``harness.py`` describes.
 from __future__ import annotations
 
 import sys
-import tracemalloc
 
 import harness
 
 SIDES = ("64", "256", "352")
 REPEATS = 7
-MB = 2**20
-
-
-def measure(fn) -> dict:
-    latency = harness.timed(fn, REPEATS)
-    tracemalloc.start()
-    try:
-        fn()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return {"latency_ms": latency, "tracemalloc_peak_mb": peak / MB}
 
 
 def run_case(side: str) -> dict:
@@ -59,7 +46,10 @@ def run_case(side: str) -> dict:
     def infer():
         return model.infer(image)
 
-    row = {"graph": measure(graph), "infer": measure(infer)}
+    row = {
+        "graph": harness.measure(graph, REPEATS, "latency_ms"),
+        "infer": harness.measure(infer, REPEATS, "latency_ms"),
+    }
     row["maps_equal"] = graph().tobytes() == infer().tobytes()
     return row
 

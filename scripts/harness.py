@@ -27,6 +27,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -99,6 +100,20 @@ def timed(fn, repeats: int, scale: float = 1e3) -> dict:
         fn()
         times.append((time.perf_counter() - t0) * scale)
     return quartiles(times)
+
+
+def measure(fn, repeats: int, time_key: str) -> dict:
+    """``timed`` quartiles of ``fn`` under ``time_key``, and the ``tracemalloc``
+    peak of one more call in MiB, measured apart from the timed calls because
+    tracing slows allocation."""
+    row = {time_key: timed(fn, repeats)}
+    tracemalloc.start()
+    try:
+        fn()
+        row["tracemalloc_peak_mb"] = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    return row
 
 
 def machine() -> dict:

@@ -25,6 +25,9 @@ network), in four stages, each independently switchable for ablations:
 With every toggle off the module degenerates to a channel-projected
 concatenation of its inputs followed by a 1x1 reduction (the ablation
 baseline).  Output always has ``n`` channels at the local resolution.
+``forward`` runs the four stage methods in order and keeps, of stage 1, only
+the fused output and the projected global stream that stage 4 gates; the
+attention maps and projections come from the stage methods' ``return_parts``.
 
 Every input is projected by a 3x3 conv-BN-ReLU, and every resampling is
 half-pixel bilinear.
@@ -129,19 +132,13 @@ class CraceModule(Module):
         )
         ca_in = self.streams * n * (2 if config.enable_channel_attention else 1)
         self.channel_reduce = Conv2dLayer(ca_in, n, kernel=1, rng=rng)
-        if config.enable_multiscale:
-            self.branch_convs = [
-                Conv2dLayer(n, n, kernel=3, dilation=d, rng=rng)
-                for _, d in config.branch_plan()
-            ]
-        else:
-            self.branch_convs = []
+        plan = config.branch_plan() if config.enable_multiscale else ()
+        self.branch_convs = [Conv2dLayer(n, n, kernel=3, dilation=d, rng=rng) for _, d in plan]
         if config.enable_attentive_fusion:
             self.att_global = Conv2dLayer(n, 1, kernel=1, rng=rng)
             self.fuse_reduce = Conv2dLayer(2 * n, n, kernel=1, rng=rng)
         else:
-            self.att_global = None
-            self.fuse_reduce = None
+            self.att_global = self.fuse_reduce = None
 
     def _list_items(self, attr: str, items: list):
         return ((f"branch{i}", conv) for i, conv in enumerate(items))
@@ -190,19 +187,14 @@ class CraceModule(Module):
         """Fuse the projected streams under a shared sigmoid attention map."""
         pl, pg, pd = self.project(f_local, f_global, depth, training)
         parts = {"proj_local": pl, "proj_global": pg, "proj_depth": pd}
-        streams = [pl, pg] + ([pd] if pd is not None else [])
+        streams = [s for s in (pl, pg, pd) if s is not None]
         if self.att_cross is not None:
-            logits = pl + pg
-            if pd is not None:
-                logits = logits + pd
-            attn = sigmoid(self.att_cross.forward(logits))
+            attn = sigmoid(self.att_cross.forward(sum(streams[1:], streams[0])))
             parts["attention"] = attn
             streams = [s + attn * s for s in streams]
         parts["streams"] = streams
         fused = concat_channels(streams)
-        if return_parts:
-            return fused, parts
-        return fused
+        return (fused, parts) if return_parts else fused
 
     # -- stage 2: channel attention ---------------------------------------
 
@@ -268,22 +260,15 @@ class CraceModule(Module):
         f_global: Tensor,
         depth: Tensor | None = None,
         training: bool = False,
-        return_parts: bool = False,
-    ):
-        fused, parts = self.cross_attention(
+    ) -> Tensor:
+        x, parts = self.cross_attention(
             f_local, f_global, depth, training, return_parts=True
         )
-        x = self.channel_attention(fused)
-        parts["channel_attention"] = x
+        global_proj = parts["proj_global"]
+        del parts  # the streams, the other projections and the attention map
+        x = self.channel_attention(x)
         x = self.multi_scale(x)
-        parts["multi_scale"] = x
-        if self.config.enable_attentive_fusion:
-            x, fparts = self.attentive_fusion(x, parts["proj_global"], return_parts=True)
-            parts["global_attention"] = fparts["attention"]
-            parts["gated_global"] = fparts["gated_global"]
-        if return_parts:
-            return x, parts
-        return x
+        return self.attentive_fusion(x, global_proj)
 
 
 def _pooled_reduce(x: Tensor, w: Tensor, b: Tensor) -> Tensor:

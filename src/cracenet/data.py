@@ -19,6 +19,7 @@ OpenBLAS at 1 thread (``scripts/bench_ckpt.py``).
 from __future__ import annotations
 
 import json
+import math
 import os
 import zlib
 from dataclasses import dataclass
@@ -373,7 +374,8 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     """Config and arrays of a checkpoint, after its magic and CRC32 check.
 
     Each array is one writable float64 copy that owns its memory, cast
-    straight from the file's bytes.
+    straight from the file's bytes.  A payload the writer could not have
+    laid out raises :class:`CorruptCheckpointError`, whatever its checksum.
     """
     raw = Path(path).read_bytes()
     if raw[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
@@ -400,16 +402,24 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
         at = take(nbytes)
         return str(view[at : at + nbytes], "utf-8")
 
-    config = json.loads(take_str(take_u(4)))
-    count = take_u(4)
     arrays: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        name = take_str(take_u(2))
-        shape = tuple(take_u(4) for _ in range(take_u(1)))
-        nvals = int(np.prod(shape)) if shape else 1
-        at = take(nvals * 8)
-        data = np.frombuffer(raw, dtype="<f8", count=nvals, offset=at).reshape(shape)
-        arrays[name] = data.astype(np.float64)
+    try:  # text that is not UTF-8 or JSON, and impossible shapes, raise ValueError
+        config = json.loads(take_str(take_u(4)))
+        for _ in range(take_u(4)):
+            name = take_str(take_u(2))
+            shape = tuple(take_u(4) for _ in range(take_u(1)))
+            nvals = math.prod(shape)
+            at = take(nvals * 8)
+            data = np.frombuffer(raw, dtype="<f8", count=nvals, offset=at).reshape(shape)
+            if name in arrays:
+                raise CorruptCheckpointError(f"{path}: array {name!r} appears twice")
+            arrays[name] = data.astype(np.float64)
+    except ValueError as err:
+        raise CorruptCheckpointError(f"{path}: {err}") from None
+    if pos != end:
+        raise CorruptCheckpointError(f"{path}: {end - pos} bytes after the last array")
+    if not isinstance(config, dict):
+        raise CorruptCheckpointError(f"{path}: config header is not a JSON object")
     return config, arrays
 
 

@@ -95,7 +95,7 @@ class TrainConfig:
             raise ValueError(f"mode must be 'rgb' or 'rgbd', got {self.mode!r}")
         if self.lr_backbone <= 0 or self.lr_head <= 0:
             raise ValueError("learning rates must be positive")
-        for name in ("batch_size", "checkpoint_interval"):
+        for name in ("total_steps", "batch_size", "checkpoint_interval"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.input_size < 32 or self.input_size % 32:

@@ -1,11 +1,12 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cracenet.crace import ConfigError, CraceConfig, CraceModule
-from cracenet.tensor import Node, Tensor, ShapeError, backward, zero_grads
+from cracenet.tensor import Node, Tensor, ShapeError, backward, no_grad, zero_grads
 from oracles import assert_rel_close, channel_attention_composed, check_gradients
 
 
@@ -312,3 +313,32 @@ class TestGraphRetention:
             for cell in rule.__closure__ or ():
                 held = list(_held(cell.cell_contents))
                 assert not any(isinstance(v, (Tensor, Node)) for v in held), rule.__qualname__
+
+    @pytest.mark.parametrize("in_depth", [None, 3], ids=["rgb", "rgbd"])
+    def test_forward_frees_stage_1_before_multi_scale(self, in_depth):
+        # Every stage on, so the streams are new tensors.  Of stage 1, only
+        # the projected global stream, which stage 4 gates, may outlive
+        # stage 2.
+        m = CraceModule(5, 6, tiny_cfg(n=8), rng=np.random.default_rng(8), in_depth=in_depth)
+        cross_attention, multi_scale = m.cross_attention, m.multi_scale
+        refs, alive = [], []
+
+        def spy_cross_attention(*args, return_parts=False, **kw):
+            fused, parts = cross_attention(*args, return_parts=True, **kw)
+            held = [fused, *parts["streams"], parts["proj_local"], parts["attention"]]
+            if in_depth is not None:
+                held.append(parts["proj_depth"])
+            refs.extend(weakref.ref(t) for t in held)
+            return (fused, parts) if return_parts else fused
+
+        def spy_multi_scale(x):
+            alive.extend(r() is not None for r in refs)
+            return multi_scale(x)
+
+        m.cross_attention, m.multi_scale = spy_cross_attention, spy_multi_scale
+        depth = rand((1, 3, 16, 16), 3) if in_depth is not None else None
+        with no_grad():
+            out = m.forward(rand((1, 5, 16, 16), 1), rand((1, 6, 8, 8), 2), depth)
+        assert isinstance(out, Tensor) and out.shape == (1, 8, 16, 16)
+        assert len(alive) == len(refs) == (5 if in_depth is None else 7)
+        assert not any(alive)

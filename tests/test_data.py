@@ -1,5 +1,6 @@
 import json
 import tempfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 from oracles import checkpoint_bytes
 
 from cracenet.data import (
+    CHECKPOINT_MAGIC,
     CorruptCheckpointError,
     PnmParseError,
     gen_synthetic,
@@ -187,6 +189,75 @@ class TestCheckpoint:
         with pytest.raises(CorruptCheckpointError):
             load_checkpoint(path)
 
+    # Payload offsets of the small checkpoint below: its 11-byte JSON header
+    # starts at 4, and the 3-d array "w" has its dims at 23, 27 and 31.
+    SMALL = ({"step": 3}, {"w": np.arange(6.0).reshape(1, 2, 3), "é": np.array(2.5)})
+
+    @staticmethod
+    def _payload(config, arrays) -> bytes:
+        with tempfile.TemporaryDirectory() as work:
+            path = Path(work) / "c.ckpt"
+            save_checkpoint(path, config, arrays)
+            return path.read_bytes()[len(CHECKPOINT_MAGIC) : -4]
+
+    @staticmethod
+    def _load_resealed(payload: bytes):
+        with tempfile.TemporaryDirectory() as work:
+            path = Path(work) / "c.ckpt"
+            crc = zlib.crc32(payload).to_bytes(4, "little")
+            path.write_bytes(CHECKPOINT_MAGIC + payload + crc)
+            return load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "case", ["non-utf8-header", "non-json-header", "non-object-header",
+                 "bytes-after-last-array", "repeated-name", "huge-shape",
+                 "empty-huge-shape"],
+    )
+    def test_malformed_payload_with_a_valid_crc_is_refused(self, case):
+        payload = bytearray(self._payload(*self.SMALL))
+        if case == "non-utf8-header":
+            payload[5] = 0xFF
+        elif case == "non-json-header":
+            payload[4] = ord("x")
+        elif case == "non-object-header":
+            payload = bytearray(self._payload([3], self.SMALL[1]))
+        elif case == "bytes-after-last-array":
+            payload += bytes(5)
+        elif case == "repeated-name":
+            payload = bytearray(self._payload({}, {"a": np.zeros(2), "b": np.ones(2)}))
+            payload[payload.index(b"b")] = ord("a")
+        elif case == "huge-shape":
+            payload[27:35] = b"\xff" * 8
+        else:
+            payload[23:35] = bytes(4) + b"\xff" * 8
+        with pytest.raises(CorruptCheckpointError):
+            self._load_resealed(bytes(payload))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        edits=st.lists(
+            st.tuples(st.sampled_from(["set", "insert", "delete"]),
+                      st.integers(0, 200), st.binary(min_size=1, max_size=8)),
+            min_size=1, max_size=3,
+        )
+    )
+    def test_mutated_payload_loads_cleanly_or_is_refused(self, edits):
+        payload = bytearray(self._payload(*self.SMALL))
+        for kind, at, piece in edits:
+            at %= len(payload) + 1
+            if kind == "set":
+                payload[at : at + len(piece)] = piece[: len(payload) - at]
+            elif kind == "insert":
+                payload[at:at] = piece
+            else:
+                del payload[at : at + len(piece)]
+        try:
+            config, arrays = self._load_resealed(bytes(payload))
+        except CorruptCheckpointError:
+            return
+        assert isinstance(config, dict)
+        for arr in arrays.values():
+            assert arr.dtype == np.float64 and arr.flags.owndata
 
     def test_failed_write_keeps_the_old_checkpoint(self, tmp_path, monkeypatch):
         path = tmp_path / "model.ckpt"

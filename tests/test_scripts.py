@@ -21,6 +21,19 @@ def test_quartiles_of_a_known_list():
     }
 
 
+def test_measure_times_under_its_key_and_traces_one_more_call():
+    calls = []
+
+    def fn():
+        calls.append(bytearray(2**20))  # 1 MiB kept alive
+
+    row = harness.measure(fn, 3, "latency_ms")
+    assert row.keys() == {"latency_ms", "tracemalloc_peak_mb"}
+    assert row["latency_ms"]["n"] == 3
+    assert len(calls) == 5  # a warm-up, 3 timed calls and the traced one
+    assert 1.0 <= row["tracemalloc_peak_mb"] < 1.5
+
+
 def test_failed_worker_gives_failure_row_and_next_case_runs(tmp_path, capsys):
     script = tmp_path / "bench_fake.py"
     script.write_text(

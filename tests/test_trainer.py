@@ -61,7 +61,7 @@ class TestTrainConfig:
     @pytest.mark.parametrize(
         "name, value",
         [("batch_size", 0), ("batch_size", -1), ("checkpoint_interval", 0),
-         ("input_size", 0), ("input_size", -32)],
+         ("input_size", 0), ("input_size", -32), ("total_steps", 0), ("total_steps", -3)],
     )
     def test_rejects_impossible_sizes(self, name, value):
         with pytest.raises(ValueError, match=name):
