@@ -5,7 +5,8 @@ Run from the root of a checkout::
     python3 scripts/bench_infer.py --label change
     python3 scripts/bench_infer.py --label parent --src /path/to/other/checkout/src
 
-For each side in 64, 256 and 352, a fresh worker process (``harness.py``)
+For each side in 64, 96 (the ``predict_eval96`` benchmark's size), 256 and
+352, a fresh worker process (``harness.py``)
 serves one random image with a freshly seeded default RGB model
 (``NetworkConfig.default("rgb")``, seed 0) two ways:
 
@@ -27,7 +28,7 @@ import sys
 
 import harness
 
-SIDES = ("64", "256", "352")
+SIDES = ("64", "96", "256", "352")
 REPEATS = 7
 
 

@@ -324,8 +324,12 @@ def save_checkpoint(path, config: dict, arrays: dict[str, np.ndarray]) -> None:
     """Write magic + JSON config + named float64 blobs + CRC32 trailer.
 
     The file is laid out once, in one buffer: each array is cast straight
-    into its place, and the checksum is taken over a view of the buffer.
+    into its place, and the checksum is taken over a view of the buffer.  A
+    config that is not a dict, which ``load_checkpoint`` would refuse,
+    raises ``TypeError`` before anything is written.
     """
+    if not isinstance(config, dict):
+        raise TypeError(f"checkpoint config must be a dict, not {type(config).__name__}")
     cfg = json.dumps(config, sort_keys=True).encode()
     entries = []
     size = len(CHECKPOINT_MAGIC) + 4 + len(cfg) + 4

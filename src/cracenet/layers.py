@@ -19,15 +19,42 @@ reads are copied: a 1x1 stride-2 convolution reads one of four.  A tap
 that reads only padding (a small map under a large dilation) adds exact
 zeros; it is skipped and its weight gradient is 0.
 
-The weight gradient of a tap is the upstream gradient, zero in the
-dropped columns, times the tap's slice.  The input gradient adds each
-tap's transposed weight times that gradient into the tap's slice of a
-phase-gradient buffer, in reverse tap order, and gathers the image
-pixels back out.  Backward does not keep the polyphase copy: it rebuilds
-it from the input for the weight gradient and frees it before the input
-gradient, which is computed only when the input requires one, so the stem
-convs on the image and depth map skip it.  No array larger than the
-padded input or the padded output is built.
+The live taps are summed in tap groups, one product per group, and the
+group rule depends on the shape alone: all live taps form one group when
+there are several and O >= 4*C, and each tap is its own group otherwise.
+A group of one tap multiplies its uncopied slice into an accumulator of
+Ho*Wq columns per image, as the tap-by-tap sum always did, to the bit.  A
+stacked group of T taps runs over blocks of whole output rows: it copies
+its taps' slices of one image into a (T*C, rows*Wq) workspace and
+multiplies that once by the taps' (O, T*C) weights side by side, the
+row-wise lowering of MEC (Cho & Brand, 2017) applied to the flat shift,
+and copies the block's product straight into its output rows.  The
+workspace holds at most as many values as one image's polyphase copy,
+so at most one padded input, and at most 2**16, which stay in a core's L2
+cache; the rows are cut into the fewest blocks that allows.  Stacking reorders each output's sum, which moves its
+last bits.  In fresh processes on one core with OpenBLAS, stacking took
+the batch-2 depth stem (C1 -> O16, 256x256, stride 2) forward from 13-21
+to about 1 ms, the RGB stem (C3) from 9-11 to about 2 ms and C16 -> O64 at
+64x64 from 10-12 to 4-6 ms; on C16 -> O16, C32 -> O64 and C64 -> O64 it
+did not pay reliably (``BENCH_conv.json``).
+
+Everything derived from the shapes alone (sizes, live taps, phases and
+their slices, tap groups and row blocks) is a ``_ConvPlan``, built once
+per (input shape, output channels, kernel, stride, dilation) and cached,
+as the resampling grids are.
+
+The weight gradient of a tap group is the upstream gradient, zero in the
+dropped columns, times the group's slices: per image for a lone tap, per
+row block, stacked as in the forward, for a stacked group.  The input
+gradient multiplies each group's transposed weights by that gradient and
+adds each tap's rows into the tap's slice of a phase-gradient buffer, in
+reverse tap order, then gathers the image pixels back out.  Backward does
+not keep the polyphase copy: it rebuilds it from the input for the
+weight gradient and frees it before the input gradient, which is computed
+only when the input requires one, so the stem convs on the image and
+depth map skip it.  No array larger than the padded input or the padded
+output is built, and a stacked group builds neither the accumulator nor
+the full-size upstream gradient, only their row blocks.
 
 Batch norm is one graph node in train and eval mode alike; the mode picks
 the statistics and nothing else.  Train mode uses the batch mean and
@@ -237,64 +264,148 @@ def _phase_slices(a: int, s: int, pad: int, n: int, nq: int) -> tuple[slice, sli
     return slice(u0, u1), slice(r0, r0 + s * (u1 - u0), s)
 
 
-class _Polyphase:
-    """Shape of the (B, P, C, Hq*Wq + R) polyphase copy of a (B, C, H, W)
-    input, P the number of phases that live taps read."""
+# Values in a stacked group's workspace at most: 512 KiB of float64, which
+# stays in a core's L2 cache.
+_WORKSPACE_VALUES = 1 << 16
 
-    def __init__(self, shape: tuple, k: int, s: int, d: int):
-        self.B, self.C, self.H, self.W = shape
-        self.s, self.pad = s, d * (k - 1) // 2
-        R = (k - 1) * d // s
-        self.Ho, self.Wo = (self.H - 1) // s + 1, (self.W - 1) // s + 1
+
+def _stacks_taps(C: int, O: int, live: int) -> bool:
+    """The group rule: all ``live`` taps of a C -> O convolution form one
+    group when there are several and O >= 4*C; otherwise each tap is its
+    own group.  Stacking paid on the few-channel classes of
+    ``BENCH_conv.json`` (C1 and C3 -> O16, C16 -> O64) and not reliably on
+    any class with O < 4*C (C16 -> O16, C32 -> O64, C64 -> O64)."""
+    return live > 1 and O >= 4 * C
+
+
+class _ConvPlan:
+    """What a flat-shift convolution of a (B, C, H, W) input to O channels
+    derives from the shapes alone: output and polyphase sizes, live taps,
+    the phases they read with each phase's (phase, image) slices, whether
+    the taps are stacked into one group and the row blocks of that group.  Built once per shape by
+    :func:`_conv_plan` and shared read-only by every call."""
+
+    def __init__(self, shape: tuple, O: int, k: int, s: int, d: int):
+        B, C, H, W = self.B, self.C, self.H, self.W = shape
+        pad, R = d * (k - 1) // 2, (k - 1) * d // s
+        self.Ho, self.Wo = (H - 1) // s + 1, (W - 1) // s + 1
         self.Hq, self.Wq = self.Ho + R, self.Wo + R
         self.length = self.Hq * self.Wq + R
-        self.phases, self.taps = _live_taps(self.H, self.W, k, s, d)
+        self.n = self.Ho * self.Wq
+        phases, self.taps = _live_taps(H, W, k, s, d)
+        self.phases = len(phases)
+        # Per phase p: the (rows, cols) index of its (B, C, Hq, Wq) view and
+        # of the image pixels it holds.
+        self.copies = []
+        for p, (a, b) in enumerate(phases):
+            ru, rx = _phase_slices(a, s, pad, H, self.Hq)
+            cv, cx = _phase_slices(b, s, pad, W, self.Wq)
+            self.copies.append((p, (..., ru, cv), (..., rx, cx)))
+        self.stacked = _stacks_taps(C, O, len(self.taps))
+        # A stacked group runs over blocks of whole output rows, so that each
+        # block's product lands in its rows of the output.  Its workspace of
+        # (taps*C, rows*Wq) values is at most one image's polyphase copy and
+        # at most _WORKSPACE_VALUES; the rows are cut into the fewest blocks
+        # that allows, of near-equal height, and a block holds at least one
+        # row.
+        T = len(self.taps) if self.stacked else 1
+        budget = min(self.phases * C * self.length, _WORKSPACE_VALUES)
+        count = -(-self.Ho // max(1, budget // (T * C * self.Wq)))
+        rows = -(-self.Ho // count)
+        self.blocks = [(r0, min(r0 + rows, self.Ho)) for r0 in range(0, self.Ho, rows)]
+        self.block_rows = rows
 
     def zeros(self) -> np.ndarray:
-        return np.zeros((self.B, len(self.phases), self.C, self.length))
+        return np.zeros((self.B, self.phases, self.C, self.length))
 
-    def _pairs(self, buf: np.ndarray):
-        """(phase view, phase index, image index) of each phase of ``buf``."""
-        B, C, Hq, Wq = self.B, self.C, self.Hq, self.Wq
-        for p, (a, b) in enumerate(self.phases):
-            ru, rx = _phase_slices(a, self.s, self.pad, self.H, Hq)
-            cv, cx = _phase_slices(b, self.s, self.pad, self.W, Wq)
-            yield buf[:, p, :, : Hq * Wq].reshape(B, C, Hq, Wq), (ru, cv), (rx, cx)
+    def _view(self, buf: np.ndarray, p: int) -> np.ndarray:
+        return buf[:, p, :, : self.Hq * self.Wq].reshape(self.B, self.C, self.Hq, self.Wq)
 
     def copy_in(self, xd: np.ndarray) -> np.ndarray:
         buf = self.zeros()
-        for view, phase_idx, image_idx in self._pairs(buf):
-            view[(..., *phase_idx)] = xd[(..., *image_idx)]
+        for p, phase_idx, image_idx in self.copies:
+            self._view(buf, p)[phase_idx] = xd[image_idx]
         return buf
 
     def gather(self, buf: np.ndarray) -> np.ndarray:
         """The image pixels of ``buf``; those of phases no tap reads are 0."""
         out = np.zeros((self.B, self.C, self.H, self.W))
-        for view, phase_idx, image_idx in self._pairs(buf):
-            out[(..., *image_idx)] = view[(..., *phase_idx)]
+        for p, phase_idx, image_idx in self.copies:
+            out[image_idx] = self._view(buf, p)[phase_idx]
         return out
+
+    def group_weights(self, wd: np.ndarray) -> list[np.ndarray]:
+        """Each group's (O, T*C) weights: its taps' (O, C) blocks side by side."""
+        if self.stacked:
+            rows, cols = zip(*((i, j) for i, j, _, _ in self.taps))
+            wg = wd[:, :, rows, cols]  # (O, C, T)
+            return [wg.transpose(0, 2, 1).reshape(wd.shape[0], -1)]
+        # One copy of the live taps' (O, C) blocks; dead taps are not read.
+        O, C, _, k = wd.shape
+        live = [i * k + j for i, j, _, _ in self.taps]
+        return list(wd.reshape(O * C, k * k).T[live].reshape(-1, O, C))
+
+    def stack(self, ws: np.ndarray, xq_b: np.ndarray, r0: int, r1: int) -> np.ndarray:
+        """The stacked group's slices of one image's polyphase copy ``xq_b``
+        for output rows [r0, r1), copied into the workspace ``ws``."""
+        C, c0, c1 = self.C, r0 * self.Wq, r1 * self.Wq
+        for t, (_, _, p, off) in enumerate(self.taps):
+            ws[t * C : (t + 1) * C, : c1 - c0] = xq_b[p, :, off + c0 : off + c1]
+        return ws[:, : c1 - c0]
+
+    def workspace(self) -> np.ndarray:
+        return np.empty((len(self.taps) * self.C, self.block_rows * self.Wq))
+
+    def upstream_blocks(self, g: np.ndarray):
+        """(image, r0, r1, (O, (r1-r0)*Wq) block of the upstream gradient
+        ``g`` laid out as the product's columns, 0 in the dropped ones), for
+        each image and row block of a stacked group.  One buffer serves
+        every block."""
+        O, Wo = g.shape[1], self.Wo
+        buf = np.zeros((O, self.block_rows, self.Wq))
+        for bi in range(self.B):
+            for r0, r1 in self.blocks:
+                buf[:, : r1 - r0, :Wo] = g[bi, :, r0:r1]
+                yield bi, r0, r1, buf[:, : r1 - r0].reshape(O, -1)
+
+
+@lru_cache(maxsize=512)
+def _conv_plan(shape: tuple, O: int, k: int, s: int, d: int) -> _ConvPlan:
+    return _ConvPlan(shape, O, k, s, d)
 
 
 def _conv_flat(x: Tensor, w: Tensor, b: Tensor | None, k: int, s: int, d: int) -> Tensor:
-    """Flat-shift implicit GEMM over the polyphase copy of the input."""
-    geo = _Polyphase(x.shape, k, s, d)
-    B, C, O = geo.B, geo.C, w.shape[0]
-    Ho, Wo, Wq, taps = geo.Ho, geo.Wo, geo.Wq, geo.taps
-    n = Ho * Wq
-    wt = np.ascontiguousarray(w.data.transpose(2, 3, 0, 1))  # (kh, kw, O, C)
+    """Flat-shift implicit GEMM over the polyphase copy of the input, one
+    product per tap group."""
+    plan = _conv_plan(x.shape, w.shape[0], k, s, d)
+    B, C, O = plan.B, plan.C, w.shape[0]
+    Ho, Wo, Wq, n, taps = plan.Ho, plan.Wo, plan.Wq, plan.n, plan.taps
 
-    xq = geo.copy_in(x.data)
-    (i0, j0, p0, off0), *rest = taps
-    acc = np.empty((B, O, n))
-    tmp = np.empty((O, n))
-    for bi in range(B):
-        np.matmul(wt[i0, j0], xq[bi, p0, :, off0 : off0 + n], out=acc[bi])
-        for i, j, p, off in rest:
-            np.matmul(wt[i, j], xq[bi, p, :, off : off + n], out=tmp)
-            acc[bi] += tmp
-    del xq, tmp
-    out = np.ascontiguousarray(acc.reshape(B, O, Ho, Wq)[:, :, :, :Wo])
-    del acc
+    xq = plan.copy_in(x.data)
+    weights = plan.group_weights(w.data)
+    if plan.stacked:
+        # Each block's product is copied straight into its output rows.
+        (wg,) = weights
+        ws, prod = plan.workspace(), np.empty((O, plan.block_rows * Wq))
+        out = np.empty((B, O, Ho, Wo))
+        for bi in range(B):
+            for r0, r1 in plan.blocks:
+                block = np.matmul(wg, plan.stack(ws, xq[bi], r0, r1), out=prod[:, : (r1 - r0) * Wq])
+                out[bi, :, r0:r1] = block.reshape(O, r1 - r0, Wq)[:, :, :Wo]
+        del xq, ws, prod
+    else:
+        # Tap by tap into an accumulator of the product's layout.
+        (_, _, p0, off0), *rest = taps
+        acc = np.empty((B, O, n))
+        tmp = np.empty((O, n))
+        for bi in range(B):
+            np.matmul(weights[0], xq[bi, p0, :, off0 : off0 + n], out=acc[bi])
+            for wt, (_, _, p, off) in zip(weights[1:], rest):
+                np.matmul(wt, xq[bi, p, :, off : off + n], out=tmp)
+                acc[bi] += tmp
+        del xq, tmp
+        out = np.ascontiguousarray(acc.reshape(B, O, Ho, Wq)[:, :, :, :Wo])
+        del acc
     if b is not None:
         out += b.data[:, None, None]
 
@@ -304,32 +415,52 @@ def _conv_flat(x: Tensor, w: Tensor, b: Tensor | None, k: int, s: int, d: int) -
     xd, wd, need_gx, has_bias = x.data, w.data, x.requires_grad, b is not None
 
     def bwd(g):
-        gf = np.zeros((B, O, Ho, Wq))
-        gf[:, :, :, :Wo] = g
-        gf = gf.reshape(B, O, n)
-        xq = geo.copy_in(xd)
         gw = np.zeros((k, k, O, C))
-        for i, j, p, off in taps:
-            gw[i, j] = np.matmul(gf, xq[:, p, :, off : off + n].transpose(0, 2, 1)).sum(axis=0)
+        xq = plan.copy_in(xd)
+        if plan.stacked:
+            ws, gwg = plan.workspace(), np.zeros((O, len(taps) * C))
+            for bi, r0, r1, gb in plan.upstream_blocks(g):
+                gwg += np.matmul(gb, plan.stack(ws, xq[bi], r0, r1).T)
+            for t, (i, j, _, _) in enumerate(taps):
+                gw[i, j] = gwg[:, t * C : (t + 1) * C]
+        else:
+            gf = np.zeros((B, O, Ho, Wq))
+            gf[:, :, :, :Wo] = g
+            gf = gf.reshape(B, O, n)
+            for i, j, p, off in taps:
+                gw[i, j] = np.matmul(gf, xq[:, p, :, off : off + n].transpose(0, 2, 1)).sum(axis=0)
         del xq
         gw = np.ascontiguousarray(gw.transpose(2, 3, 0, 1))
         gx = None
         if need_gx:
-            # Each tap's (C, n) product goes into rows of gq's length L whose
-            # tails stay 0, so it is added to gq as one contiguous run: numpy
-            # would copy a strided (C, n) target before adding in place.
-            L = geo.length
-            wt = np.ascontiguousarray(wd.transpose(2, 3, 0, 1))
-            gq = geo.zeros()
-            gq_runs = gq.reshape(B, -1, C * L)
-            tmp = np.zeros((C, L))
-            run = (C - 1) * L + n
-            for bi in range(B):
-                for i, j, p, off in reversed(taps):
-                    np.matmul(wt[i, j].T, gf[bi], out=tmp[:, :n])
-                    gq_runs[bi, p, off : off + run] += tmp.reshape(-1)[:run]
-            del gf, tmp, wt
-            gx = geo.gather(gq)
+            weights = plan.group_weights(wd)
+            gq = plan.zeros()
+            if plan.stacked:
+                # Each tap's rows of the block's product are added into its
+                # slice of gq, in reverse tap order.
+                wgT = weights[0].T
+                for bi, r0, r1, gb in plan.upstream_blocks(g):
+                    prod = np.matmul(wgT, gb, out=ws[:, : (r1 - r0) * Wq])
+                    c0, c1 = r0 * Wq, r1 * Wq
+                    for t in reversed(range(len(taps))):
+                        _, _, p, off = taps[t]
+                        gq[bi, p, :, off + c0 : off + c1] += prod[t * C : (t + 1) * C]
+            else:
+                # A tap's (C, n) product goes into rows of gq's length L whose
+                # tails stay 0, so it is added to gq as one contiguous run:
+                # numpy would copy a strided (C, n) target before adding in
+                # place.
+                L = plan.length
+                gq_runs = gq.reshape(B, -1, C * L)
+                tmp = np.zeros((C, L))
+                run = (C - 1) * L + n
+                for bi in range(B):
+                    for wt, (_, _, p, off) in zip(reversed(weights), reversed(taps)):
+                        np.matmul(wt.T, gf[bi], out=tmp[:, :n])
+                        gq_runs[bi, p, off : off + run] += tmp.reshape(-1)[:run]
+                del gf, tmp
+            del weights
+            gx = plan.gather(gq)
         if not has_bias:
             return gx, gw
         return gx, gw, g.reshape(B, O, Ho * Wo).sum(axis=(0, 2))
@@ -582,19 +713,26 @@ def erode(mask: np.ndarray, radius: int = 1) -> np.ndarray:
 
 
 def resize_bilinear_np(arr: np.ndarray, out_hw: tuple[int, int]) -> np.ndarray:
-    """Bilinear resize of an (..., H, W) array to (..., Ho, Wo)."""
+    """Bilinear resize of an (..., H, W) array to a float64 (..., Ho, Wo) one."""
+    arr = np.asarray(arr, dtype=np.float64)
     H, W = arr.shape[-2:]
     Ho, Wo = out_hw
     if (H, W) == (Ho, Wo):
         return arr.copy()
     r0, r1, tr = _interp_grid(H, Ho)
     c0, c1, tc = _interp_grid(W, Wo)
-    # a + t*(b - a) keeps constant inputs bit-exact.  ``np.take`` returns C
-    # order, where fancy indexing on the last axis gives a transposed layout.
+    # a + t*(b - a) keeps constant inputs bit-exact; it is computed in place
+    # in b, in the same order.  ``np.take`` returns C order, where fancy
+    # indexing on the last axis gives a transposed layout.
     a, b = np.take(arr, r0, axis=-2), np.take(arr, r1, axis=-2)
-    rows = a + tr[:, None] * (b - a)
-    a, b = np.take(rows, c0, axis=-1), np.take(rows, c1, axis=-1)
-    return a + tc * (b - a)
+    b -= a
+    b *= tr[:, None]
+    b += a
+    a, rows = np.take(b, c0, axis=-1), np.take(b, c1, axis=-1)
+    rows -= a
+    rows *= tc
+    rows += a
+    return rows
 
 
 def resize_nearest_np(arr: np.ndarray, out_hw: tuple[int, int]) -> np.ndarray:

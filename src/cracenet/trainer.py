@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .crace import CraceConfig
-from .data import Sample, load_checkpoint, save_checkpoint, save_gray
+from .data import CorruptCheckpointError, Sample, load_checkpoint, save_checkpoint, save_gray
 from .layers import check_arrays, resize_bilinear_np, resize_nearest_np
 from .losses import (
     LossConfig,
@@ -149,7 +149,9 @@ def sgd_step(
     for name, p in params.items():
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
         v = velocities[name]
-        v[...] = cfg.momentum * v + g + cfg.weight_decay * p.data
+        v *= cfg.momentum
+        v += g
+        v += cfg.weight_decay * p.data
         p.data = p.data - (_base_lr(name, cfg) * multiplier) * v
 
 
@@ -293,18 +295,37 @@ def _retired_fields(mode: str) -> dict:
     }
 
 
-def configs_from_snapshot(snapshot: dict):
-    """The configs of a checkpoint snapshot.  A retired field is dropped if
-    it holds its fixed value; any other value, or a network mode unlike the
-    train mode, raises ``ValueError``."""
-    net = snapshot["network"]
-    if net["mode"] != snapshot["train"]["mode"]:
-        raise ValueError(
-            f"checkpoint network mode {net['mode']!r} differs from train mode "
-            f"{snapshot['train']['mode']!r}"
+def _snapshot_item(tree: dict, path: str, kind=None):
+    """The value at dotted ``path`` of a snapshot; ``CorruptCheckpointError``
+    names the key if it is missing or, with ``kind`` given, of another type."""
+    for key in path.split("."):
+        if not isinstance(tree, dict) or key not in tree:
+            raise CorruptCheckpointError(f"checkpoint config lacks {path!r}")
+        tree = tree[key]
+    if kind is not None and not isinstance(tree, kind):
+        raise CorruptCheckpointError(
+            f"checkpoint config {path!r} is not a {kind.__name__}: {tree!r}"
         )
-    values = {**snapshot["train"], **snapshot["loss"], **net["encoder"], **net["crace"]}
-    for key, fixed in _retired_fields(net["mode"]).items():
+    return tree
+
+
+def configs_from_snapshot(snapshot: dict):
+    """The configs of a checkpoint snapshot.  A missing section or mode, or
+    a section that is not an object, raises ``CorruptCheckpointError``
+    naming it.  A retired field is dropped if it holds its fixed value; any
+    other value, or a network mode unlike the train mode, raises
+    ``ValueError``."""
+    train, loss, _, encoder, crace = (
+        _snapshot_item(snapshot, path, dict)
+        for path in ("train", "loss", "network", "network.encoder", "network.crace")
+    )
+    mode, train_mode = (_snapshot_item(snapshot, f"{key}.mode") for key in ("network", "train"))
+    if mode != train_mode:
+        raise ValueError(
+            f"checkpoint network mode {mode!r} differs from train mode {train_mode!r}"
+        )
+    values = {**train, **loss, **encoder, **crace}
+    for key, fixed in _retired_fields(mode).items():
         saved = values.pop(key, fixed)
         if saved != fixed:
             raise ValueError(
@@ -441,7 +462,7 @@ def train(
         for name in velocities:
             velocities[name] = arrays["optim/" + name]
         del arrays  # the model holds copies of the rest
-        start_step = int(snapshot["step"])
+        start_step = _snapshot_item(snapshot, "step", int)
 
     out_dir = Path(out_dir) if out_dir is not None else None
     ckpt_path = out_dir / "checkpoint.ckpt" if out_dir else None

@@ -219,8 +219,8 @@ class TestCheckpoint:
             payload[5] = 0xFF
         elif case == "non-json-header":
             payload[4] = ord("x")
-        elif case == "non-object-header":
-            payload = bytearray(self._payload([3], self.SMALL[1]))
+        elif case == "non-object-header":  # save_checkpoint refuses to write one
+            payload = bytearray(checkpoint_bytes([3], self.SMALL[1])[len(CHECKPOINT_MAGIC) : -4])
         elif case == "bytes-after-last-array":
             payload += bytes(5)
         elif case == "repeated-name":
@@ -275,6 +275,12 @@ class TestCheckpoint:
         monkeypatch.undo()
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+    @pytest.mark.parametrize("config", [[3], "step", None, 3], ids=repr)
+    def test_a_config_that_is_not_a_dict_is_refused_before_writing(self, tmp_path, config):
+        with pytest.raises(TypeError, match="checkpoint config must be a dict"):
+            save_checkpoint(tmp_path / "model.ckpt", config, {"x": np.arange(4.0)})
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestConfigText:

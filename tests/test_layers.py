@@ -129,14 +129,19 @@ class TestConv2d:
         held = [value for value in cells if isinstance(value, np.ndarray)]
         assert held and max(a.nbytes for a in held) <= x.data.nbytes
 
-    @pytest.mark.parametrize("stride, dilation", [(1, 1), (2, 1), (1, 2)])
-    def test_backward_keeps_the_weight_array_not_a_repack(self, stride, dilation):
+    @pytest.mark.parametrize(
+        "stride, dilation, O",
+        [pytest.param(s, d, O, id=f"{prefix}{s}-{d}")
+         for prefix, O in (("", 4), ("stacked-", 16))
+         for s, d in ((1, 1), (2, 1), (1, 2))],
+    )
+    def test_backward_keeps_the_weight_array_not_a_repack(self, stride, dilation, O):
         # Parameters get new arrays, never in-place writes, so the node can
         # hold the weight array itself and repack it only for the input
         # gradient; a weight replaced after the forward leaves it unchanged.
         rng = np.random.default_rng(23)
         x = t(rng.normal(size=(2, 3, 10, 10)), grad=True)
-        layer = Conv2dLayer(3, 4, 3, stride, dilation, rng=rng)
+        layer = Conv2dLayer(3, O, 3, stride, dilation, rng=rng)
         node = conv2d(x, layer)
         g = rng.normal(size=node.shape)
         want = conv2d(x, layer)._backward(g)
@@ -193,14 +198,25 @@ class TestConv2d:
             assert_rel_close(got, ref)
 
 
-    @pytest.mark.parametrize("dilation, stride", [(1, 1), (2, 1), (1, 2), (2, 2)])
-    def test_forward_and_backward_peaks_stay_below_three_padded_inputs(self, dilation, stride):
-        # The polyphase copy and its gradient are each about one padded input.
-        B, C, H = 2, 8, 32
+    @pytest.mark.parametrize(
+        "dilation, stride, C, O",
+        [pytest.param(d, s, C, O, id=f"{prefix}{d}-{s}")
+         for prefix, C, O in (("", 8, 8), ("C1-O16-", 1, 16), ("C8-O32-", 8, 32))
+         for d, s in ((1, 1), (2, 1), (1, 2), (2, 2))],
+    )
+    def test_forward_and_backward_peaks_stay_below_three_padded_inputs(self, dilation, stride, C, O):
+        # The polyphase copy, its gradient and a stacked group's workspace
+        # are each at most about one padded input; the accumulator and the
+        # output gradient are each one padded output, which a few-channel
+        # class's stacked taps make the larger of the two.
+        B, H = 2, 32
         rng = np.random.default_rng(29)
         x = t(rng.normal(size=(B, C, H, H)), grad=True)
-        layer = Conv2dLayer(C, C, 3, stride, dilation, bias=False, rng=rng)
-        padded_bytes = B * C * (H + 2 * dilation) ** 2 * 8
+        layer = Conv2dLayer(C, O, 3, stride, dilation, bias=False, rng=rng)
+        side = (H - 1) // stride + 1
+        padded_bytes = 8 * max(
+            B * C * (H + 2 * dilation) ** 2, B * O * side * (side + 2 * dilation // stride)
+        )
         node = conv2d(x, layer)
         g = rng.normal(size=node.shape)
         for run in (lambda: conv2d(x, layer), lambda: node._backward(g)):
@@ -211,6 +227,67 @@ class TestConv2d:
             finally:
                 tracemalloc.stop()
             assert peak < 3 * padded_bytes, peak / padded_bytes
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        C=st.sampled_from([1, 2, 3, 8, 16]),
+        O=st.integers(1, 64),
+        stride=st.integers(1, 3),
+        dilation=st.integers(1, 3),
+        B=st.integers(1, 2),
+        H=st.integers(1, 7),
+        W=st.integers(1, 7),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    # The stems of the network: one depth and three image channels into 16.
+    @example(C=1, O=16, stride=2, dilation=1, B=2, H=7, W=6, seed=0)
+    @example(C=3, O=16, stride=2, dilation=1, B=1, H=6, W=7, seed=1)
+    # crace2's projections, stacked, next to a class that is not.
+    @example(C=16, O=64, stride=1, dilation=1, B=1, H=2, W=3, seed=2)
+    @example(C=16, O=32, stride=1, dilation=2, B=1, H=3, W=2, seed=3)
+    def test_tap_groups_match_direct_summation(self, C, O, stride, dilation, B, H, W, seed):
+        # Both sides of the group rule, on maps small enough that taps die:
+        # the forward, the weight gradient and the input gradient.
+        Ho, Wo = (H - 1) // stride + 1, (W - 1) // stride + 1
+        assume(B * C * O * Ho * Wo <= 2048)
+        rng = np.random.default_rng(seed)
+        layer = Conv2dLayer(C, O, 3, stride, dilation, bias=False, rng=rng)
+        x = t(rng.normal(size=(B, C, H, W)), grad=True)
+        out = conv2d(x, layer)
+        assert_rel_close(
+            out.data, conv2d_bruteforce(x.data, layer.weight.data, None, stride, dilation)
+        )
+        g = rng.normal(size=out.shape)
+        gx, gw = out._backward(g)
+        want = conv2d_grad_bruteforce(x.data, layer.weight.data, g, stride, dilation)
+        assert_rel_close(gw, want[1])
+        assert_rel_close(gx, want[0])
+
+    @pytest.mark.parametrize(
+        "C, O, H, dilation, stacked",
+        [(1, 16, 8, 1, True), (3, 16, 8, 1, True), (16, 64, 8, 1, True),
+         (16, 63, 8, 1, False), (32, 64, 8, 1, False), (64, 64, 8, 1, False),
+         # Only the centre tap reads a 2x2 map under dilation 6: nothing to stack.
+         (1, 16, 2, 6, False)],
+    )
+    def test_group_rule_stacks_few_channel_classes(self, C, O, H, dilation, stacked):
+        assert layers._conv_plan((2, C, H, H), O, 3, 1, dilation).stacked == stacked
+
+    def test_equal_shapes_get_one_cached_plan(self):
+        rng = np.random.default_rng(37)
+        layers._conv_plan.cache_clear()
+        first = Conv2dLayer(3, 16, 3, 2, rng=rng)
+        second = Conv2dLayer(3, 16, 3, 2, bias=False, rng=rng)
+        for layer in (first, second, first):
+            node = conv2d(t(rng.normal(size=(2, 3, 12, 12)), grad=True), layer)
+            node._backward(rng.normal(size=node.shape))
+        info = layers._conv_plan.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        assert layers._conv_plan((2, 3, 12, 12), 16, 3, 2, 1) is layers._conv_plan(
+            (2, 3, 12, 12), 16, 3, 2, 1
+        )
+        conv2d(t(rng.normal(size=(2, 3, 12, 10))), first)
+        assert layers._conv_plan.cache_info().misses == 2
 
     @pytest.mark.parametrize(
         "H, W, dilation, dead",

@@ -8,7 +8,13 @@ import pytest
 
 from cracenet import trainer as trainer_module
 from cracenet.crace import CraceConfig
-from cracenet.data import gen_synthetic, load_checkpoint, load_dataset, save_checkpoint
+from cracenet.data import (
+    CorruptCheckpointError,
+    gen_synthetic,
+    load_checkpoint,
+    load_dataset,
+    save_checkpoint,
+)
 from cracenet.losses import LossConfig, make_edge_gt, total_loss
 from cracenet.network import EncoderConfig, NetworkConfig, SodNetwork
 from cracenet.tensor import ShapeError, Tensor, backward
@@ -537,6 +543,72 @@ class TestOlderCheckpoints:
         save_checkpoint(ckpt, with_retired_fields(snapshot, **{key: value}), {})
         with pytest.raises(ValueError, match=rf"{key} is {value!r}; the code fixes it at {fixed!r}"):
             build_model_from_checkpoint(ckpt)
+
+
+_MISSING = object()
+
+
+def _damaged(snapshot: dict, path: str, value) -> dict:
+    """A deep copy of ``snapshot`` whose dotted ``path`` is deleted
+    (``value`` is ``_MISSING``) or set to ``value``."""
+    snapshot = copy.deepcopy(snapshot)
+    *parents, key = path.split(".")
+    tree = snapshot
+    for parent in parents:
+        tree = tree[parent]
+    if value is _MISSING:
+        del tree[key]
+    else:
+        tree[key] = value
+    return snapshot
+
+
+class TestSnapshotSections:
+    """A snapshot that lacks a section the rebuild reads ends in a typed
+    error naming it, through either entry point, never in a bare
+    ``KeyError`` or ``TypeError``."""
+
+    @pytest.fixture(scope="class")
+    def checkpoint(self, dataset, tmp_path_factory):
+        out = tmp_path_factory.mktemp("sections")
+        train(dataset, tiny_train_cfg(total_steps=2, checkpoint_interval=1), tiny_net_cfg(),
+              out_dir=out)
+        return load_checkpoint(out / "checkpoint_step000001.ckpt")
+
+    @pytest.mark.parametrize("entry", ["build", "resume"])
+    @pytest.mark.parametrize(
+        "path, value",
+        [(section, damage)
+         for section in ("train", "loss", "network", "network.encoder", "network.crace")
+         for damage in (_MISSING, [1, 2], "rgb")]
+        + [("network.mode", _MISSING), ("train.mode", _MISSING)],
+        ids=lambda v: "missing" if v is _MISSING else None,
+    )
+    def test_a_missing_or_non_object_section_is_named(
+        self, dataset, tmp_path, checkpoint, entry, path, value
+    ):
+        snapshot, arrays = checkpoint
+        bad = tmp_path / "bad.ckpt"
+        save_checkpoint(bad, _damaged(snapshot, path, value), arrays)
+        with pytest.raises(CorruptCheckpointError, match=repr(path)):
+            if entry == "build":
+                build_model_from_checkpoint(bad)
+            else:
+                train(dataset, tiny_train_cfg(total_steps=2, checkpoint_interval=1),
+                      tiny_net_cfg(), out_dir=tmp_path / "resumed", resume=bad)
+        assert not (tmp_path / "resumed").exists()
+
+    @pytest.mark.parametrize("value", [_MISSING, "1", None], ids=["missing", "text", "null"])
+    def test_resume_names_a_missing_or_non_integer_step(
+        self, dataset, tmp_path, checkpoint, value
+    ):
+        snapshot, arrays = checkpoint
+        bad = tmp_path / "bad.ckpt"
+        save_checkpoint(bad, _damaged(snapshot, "step", value), arrays)
+        build_model_from_checkpoint(bad)  # the rebuild does not read the step
+        with pytest.raises(CorruptCheckpointError, match="'step'"):
+            train(dataset, tiny_train_cfg(total_steps=2, checkpoint_interval=1),
+                  tiny_net_cfg(), resume=bad)
 
 
 class TestEvalHelpers:
