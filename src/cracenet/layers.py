@@ -31,17 +31,20 @@ row-wise lowering of MEC (Cho & Brand, 2017) applied to the flat shift,
 and copies the block's product straight into its output rows.  The
 workspace holds at most as many values as one image's polyphase copy,
 so at most one padded input, and at most 2**16, which stay in a core's L2
-cache; the rows are cut into the fewest blocks that allows.  Stacking reorders each output's sum, which moves its
-last bits.  In fresh processes on one core with OpenBLAS, stacking took
-the batch-2 depth stem (C1 -> O16, 256x256, stride 2) forward from 13-21
-to about 1 ms, the RGB stem (C3) from 9-11 to about 2 ms and C16 -> O64 at
-64x64 from 10-12 to 4-6 ms; on C16 -> O16, C32 -> O64 and C64 -> O64 it
-did not pay reliably (``BENCH_conv.json``).
+cache; the rows are cut into the fewest blocks that allows.  Stacking
+reorders each output's sum, which moves its last bits.  In fresh
+processes on one core with OpenBLAS, stacking took the batch-2 depth stem
+(C1 -> O16, 256x256, stride 2) forward from 13-21 to about 1 ms, the RGB
+stem (C3) from 9-11 to about 2 ms and C16 -> O64 at 64x64 from 10-12 to
+4-6 ms; on C16 -> O16, C32 -> O64 and C64 -> O64 it did not pay reliably
+(``BENCH_conv.json``).
 
-Everything derived from the shapes alone (sizes, live taps, phases and
-their slices, tap groups and row blocks) is a ``_ConvPlan``, built once
-per (input shape, output channels, kernel, stride, dilation) and cached,
-as the resampling grids are.
+Each call packs the live taps' weights once into an (O, T, C) array, so
+a lone tap's (O, C) matrix and a stacked group's (O, T*C) matrix are
+views of it that BLAS reads in place.  Everything derived from the shapes
+alone (sizes, live taps, phases and their slices, tap groups and row
+blocks) is a ``_ConvPlan``, built once per (input shape, output channels,
+kernel, stride, dilation) and cached, as the resampling grids are.
 
 The weight gradient of a tap group is the upstream gradient, zero in the
 dropped columns, times the group's slices: per image for a lone tap, per
@@ -282,8 +285,9 @@ class _ConvPlan:
     """What a flat-shift convolution of a (B, C, H, W) input to O channels
     derives from the shapes alone: output and polyphase sizes, live taps,
     the phases they read with each phase's (phase, image) slices, whether
-    the taps are stacked into one group and the row blocks of that group.  Built once per shape by
-    :func:`_conv_plan` and shared read-only by every call."""
+    the taps are stacked into one group and the row blocks of that group.
+    Built once per shape by :func:`_conv_plan` and shared read-only by
+    every call."""
 
     def __init__(self, shape: tuple, O: int, k: int, s: int, d: int):
         B, C, H, W = self.B, self.C, self.H, self.W = shape
@@ -334,16 +338,16 @@ class _ConvPlan:
             out[image_idx] = self._view(buf, p)[phase_idx]
         return out
 
-    def group_weights(self, wd: np.ndarray) -> list[np.ndarray]:
-        """Each group's (O, T*C) weights: its taps' (O, C) blocks side by side."""
-        if self.stacked:
-            rows, cols = zip(*((i, j) for i, j, _, _ in self.taps))
-            wg = wd[:, :, rows, cols]  # (O, C, T)
-            return [wg.transpose(0, 2, 1).reshape(wd.shape[0], -1)]
-        # One copy of the live taps' (O, C) blocks; dead taps are not read.
+    def tap_weights(self, wd: np.ndarray) -> np.ndarray:
+        """The live taps' weights as one (O, T, C) array, so that tap t's
+        (O, C) matrix is ``[:, t]`` and a stacked group's (O, T*C) matrix is
+        its reshape, both in a layout BLAS reads in place.  Each output
+        channel's (C, k*k) block is transposed where it lies, in cache."""
         O, C, _, k = wd.shape
-        live = [i * k + j for i, j, _, _ in self.taps]
-        return list(wd.reshape(O * C, k * k).T[live].reshape(-1, O, C))
+        w3 = wd.reshape(O, C, k * k)
+        if len(self.taps) < k * k:
+            w3 = w3[:, :, [i * k + j for i, j, _, _ in self.taps]]
+        return np.ascontiguousarray(w3.transpose(0, 2, 1))
 
     def stack(self, ws: np.ndarray, xq_b: np.ndarray, r0: int, r1: int) -> np.ndarray:
         """The stacked group's slices of one image's polyphase copy ``xq_b``
@@ -382,10 +386,10 @@ def _conv_flat(x: Tensor, w: Tensor, b: Tensor | None, k: int, s: int, d: int) -
     Ho, Wo, Wq, n, taps = plan.Ho, plan.Wo, plan.Wq, plan.n, plan.taps
 
     xq = plan.copy_in(x.data)
-    weights = plan.group_weights(w.data)
+    weights = plan.tap_weights(w.data)
     if plan.stacked:
         # Each block's product is copied straight into its output rows.
-        (wg,) = weights
+        wg = weights.reshape(O, -1)
         ws, prod = plan.workspace(), np.empty((O, plan.block_rows * Wq))
         out = np.empty((B, O, Ho, Wo))
         for bi in range(B):
@@ -399,9 +403,9 @@ def _conv_flat(x: Tensor, w: Tensor, b: Tensor | None, k: int, s: int, d: int) -
         acc = np.empty((B, O, n))
         tmp = np.empty((O, n))
         for bi in range(B):
-            np.matmul(weights[0], xq[bi, p0, :, off0 : off0 + n], out=acc[bi])
-            for wt, (_, _, p, off) in zip(weights[1:], rest):
-                np.matmul(wt, xq[bi, p, :, off : off + n], out=tmp)
+            np.matmul(weights[:, 0], xq[bi, p0, :, off0 : off0 + n], out=acc[bi])
+            for t, (_, _, p, off) in enumerate(rest, 1):
+                np.matmul(weights[:, t], xq[bi, p, :, off : off + n], out=tmp)
                 acc[bi] += tmp
         del xq, tmp
         out = np.ascontiguousarray(acc.reshape(B, O, Ho, Wq)[:, :, :, :Wo])
@@ -433,12 +437,12 @@ def _conv_flat(x: Tensor, w: Tensor, b: Tensor | None, k: int, s: int, d: int) -
         gw = np.ascontiguousarray(gw.transpose(2, 3, 0, 1))
         gx = None
         if need_gx:
-            weights = plan.group_weights(wd)
+            weights = plan.tap_weights(wd)
             gq = plan.zeros()
             if plan.stacked:
                 # Each tap's rows of the block's product are added into its
                 # slice of gq, in reverse tap order.
-                wgT = weights[0].T
+                wgT = weights.reshape(O, -1).T
                 for bi, r0, r1, gb in plan.upstream_blocks(g):
                     prod = np.matmul(wgT, gb, out=ws[:, : (r1 - r0) * Wq])
                     c0, c1 = r0 * Wq, r1 * Wq
@@ -455,8 +459,9 @@ def _conv_flat(x: Tensor, w: Tensor, b: Tensor | None, k: int, s: int, d: int) -
                 tmp = np.zeros((C, L))
                 run = (C - 1) * L + n
                 for bi in range(B):
-                    for wt, (_, _, p, off) in zip(reversed(weights), reversed(taps)):
-                        np.matmul(wt.T, gf[bi], out=tmp[:, :n])
+                    for t in reversed(range(len(taps))):
+                        _, _, p, off = taps[t]
+                        np.matmul(weights[:, t].T, gf[bi], out=tmp[:, :n])
                         gq_runs[bi, p, off : off + run] += tmp.reshape(-1)[:run]
                 del gf, tmp
             del weights
@@ -723,12 +728,15 @@ def resize_bilinear_np(arr: np.ndarray, out_hw: tuple[int, int]) -> np.ndarray:
     c0, c1, tc = _interp_grid(W, Wo)
     # a + t*(b - a) keeps constant inputs bit-exact; it is computed in place
     # in b, in the same order.  ``np.take`` returns C order, where fancy
-    # indexing on the last axis gives a transposed layout.
-    a, b = np.take(arr, r0, axis=-2), np.take(arr, r1, axis=-2)
+    # indexing on the last axis gives a transposed layout; the grid's taps
+    # are in range, so mode "clip" only skips its bounds check.
+    a = np.take(arr, r0, axis=-2, mode="clip")
+    b = np.take(arr, r1, axis=-2, mode="clip")
     b -= a
     b *= tr[:, None]
     b += a
-    a, rows = np.take(b, c0, axis=-1), np.take(b, c1, axis=-1)
+    a = np.take(b, c0, axis=-1, mode="clip")
+    rows = np.take(b, c1, axis=-1, mode="clip")
     rows -= a
     rows *= tc
     rows += a
@@ -743,4 +751,4 @@ def resize_nearest_np(arr: np.ndarray, out_hw: tuple[int, int]) -> np.ndarray:
         return arr.copy()
     ri = np.clip(np.floor((np.arange(Ho) + 0.5) * H / Ho), 0, H - 1).astype(np.intp)
     ci = np.clip(np.floor((np.arange(Wo) + 0.5) * W / Wo), 0, W - 1).astype(np.intp)
-    return np.take(np.take(arr, ri, axis=-2), ci, axis=-1)
+    return np.take(np.take(arr, ri, axis=-2, mode="clip"), ci, axis=-1, mode="clip")
