@@ -15,7 +15,12 @@ Prints one JSON line mapping each case to the SHA-256 of its bytes:
 - ``infer_<mode>_<size>``: the ``infer`` maps of the default network at
   64x64 and 96x96;
 - ``step_rgbd256``: the loss row, gradients and final arrays of one RGB-D
-  step at 256x256, batch 2 (the ``train_rgbd256`` benchmark's shapes).
+  step at 256x256, batch 2 (the ``train_rgbd256`` benchmark's shapes);
+- ``conv_<class>``: for each convolution class that
+  ``bench_conv.shape_classes()`` records in that step, the forward output
+  and the bias, weight and (where the class needs one) input gradients of
+  one ``conv2d`` call on seeded data.  ``<class>`` reads like
+  ``B2_C3_256x256_O16_k3_s2_d1_bias0_gx0``.
 
 Like the ``bench_*.py`` scripts, it imports ``cracenet`` from ``--src``
 (the checkout's ``src`` by default) and pins BLAS to one thread, so the
@@ -32,6 +37,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import bench_conv
 import harness
 
 LOSS_CONFIGS = {
@@ -150,6 +156,31 @@ def step_case(tmp: Path) -> str:
     })
 
 
+def conv_cases() -> dict:
+    import numpy as np
+    from cracenet.layers import Conv2dLayer, conv2d
+    from cracenet.tensor import Tensor
+
+    out = {}
+    for key in sorted(bench_conv.shape_classes()):
+        B, C, H, W, O, k, s, d, bias, input_grad = key
+        rng = np.random.default_rng(0)
+        layer = Conv2dLayer(C, O, k, s, d, bias=bias, rng=rng)
+        if bias:
+            layer.bias.data = rng.normal(size=O)
+        x = Tensor(rng.normal(size=(B, C, H, W)), requires_grad=input_grad)
+        node = conv2d(x, layer)
+        grads = node._backward(rng.normal(size=node.shape))
+        digest = Digest()
+        digest.array("out", node.data)
+        for name, grad in zip(("gx", "gw", "gb"), grads):
+            if grad is not None:
+                digest.array(name, grad)
+        name = f"B{B}_C{C}_{H}x{W}_O{O}_k{k}_s{s}_d{d}_bias{int(bias)}_gx{int(input_grad)}"
+        out[f"conv_{name}"] = digest.hex()
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--src", default=str(harness.ROOT / "src"), help="directory holding cracenet")
@@ -160,7 +191,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         hashes = {"losses": loss_case(), **train_cases(tmp), **infer_cases(tmp),
-                  "step_rgbd256": step_case(tmp)}
+                  "step_rgbd256": step_case(tmp), **conv_cases()}
     print(json.dumps(hashes))
     return 0
 

@@ -19,45 +19,44 @@ reads are copied: a 1x1 stride-2 convolution reads one of four.  A tap
 that reads only padding (a small map under a large dilation) adds exact
 zeros; it is skipped and its weight gradient is 0.
 
-The live taps are summed in tap groups, one product per group, and the
-group rule depends on the shape alone: all live taps form one group when
-there are several and O >= 4*C, and each tap is its own group otherwise.
-A group of one tap multiplies its uncopied slice into an accumulator of
-Ho*Wq columns per image, as the tap-by-tap sum always did, to the bit.  A
-stacked group of T taps runs over blocks of whole output rows: it copies
-its taps' slices of one image into a (T*C, rows*Wq) workspace and
-multiplies that once by the taps' (O, T*C) weights side by side, the
-row-wise lowering of MEC (Cho & Brand, 2017) applied to the flat shift,
-and copies the block's product straight into its output rows.  The
-workspace holds at most as many values as one image's polyphase copy,
-so at most one padded input, and at most 2**16, which stay in a core's L2
-cache; the rows are cut into the fewest blocks that allows.  Stacking
-reorders each output's sum, which moves its last bits.  In fresh
-processes on one core with OpenBLAS, stacking took the batch-2 depth stem
-(C1 -> O16, 256x256, stride 2) forward from 13-21 to about 1 ms, the RGB
-stem (C3) from 9-11 to about 2 ms and C16 -> O64 at 64x64 from 10-12 to
-4-6 ms; on C16 -> O16, C32 -> O64 and C64 -> O64 it did not pay reliably
-(``BENCH_conv.json``).
+The live taps are summed in tap groups, and the group rule depends on the
+shape alone: all live taps form one group when there are several and
+O >= 4*C, and each tap is its own group otherwise.  Each pass is one loop
+over (image, block of whole output rows, group) with one product per
+group.  A group of T taps multiplies its (O, T*C) weights, a view of one
+pack of the live taps' weights made once per call, by its (T*C, rows*Wq)
+operand: a lone tap's slice of the image's polyphase copy, read in place,
+or a stacked group's slices copied side by side into a workspace, the
+row-wise lowering of MEC (Cho & Brand, 2017) applied to the flat shift.
+The first group's product goes into an accumulator of the block's columns
+and each later one is added to it, so lone taps are summed tap by tap, to
+the bit as always; the block's sum is copied into its output rows.  Lone
+taps copy nothing, so each image is one block.  A stacked group's rows are
+cut into the fewest blocks that keep its workspace within one image's
+polyphase copy, so one padded input, and within 2**16 values, which stay
+in a core's L2 cache; a block holds at least one row.  Stacking reorders
+each output's sum, which moves its last bits.  In fresh processes on one
+core with OpenBLAS, stacking took the batch-2 depth stem (C1 -> O16,
+256x256, stride 2) forward from 13-21 to about 1 ms, the RGB stem (C3)
+from 9-11 to about 2 ms and C16 -> O64 at 64x64 from 10-12 to 4-6 ms; on
+C16 -> O16, C32 -> O64 and C64 -> O64 it did not pay reliably
+(``BENCH_conv.json``).  Everything derived from the shapes alone (sizes,
+live taps, phases and their slices, tap groups and row blocks) is a
+``_ConvPlan``, built once per (input shape, output channels, kernel,
+stride, dilation) and cached, as the resampling grids are.
 
-Each call packs the live taps' weights once into an (O, T, C) array, so
-a lone tap's (O, C) matrix and a stacked group's (O, T*C) matrix are
-views of it that BLAS reads in place.  Everything derived from the shapes
-alone (sizes, live taps, phases and their slices, tap groups and row
-blocks) is a ``_ConvPlan``, built once per (input shape, output channels,
-kernel, stride, dilation) and cached, as the resampling grids are.
-
-The weight gradient of a tap group is the upstream gradient, zero in the
-dropped columns, times the group's slices: per image for a lone tap, per
-row block, stacked as in the forward, for a stacked group.  The input
-gradient multiplies each group's transposed weights by that gradient and
-adds each tap's rows into the tap's slice of a phase-gradient buffer, in
-reverse tap order, then gathers the image pixels back out.  Backward does
-not keep the polyphase copy: it rebuilds it from the input for the
-weight gradient and frees it before the input gradient, which is computed
-only when the input requires one, so the stem convs on the image and
-depth map skip it.  No array larger than the padded input or the padded
-output is built, and a stacked group builds neither the accumulator nor
-the full-size upstream gradient, only their row blocks.
+Backward runs the same loop twice.  The weight gradient of a group sums,
+over images and blocks, the block's upstream gradient, zero in the dropped
+columns, times the group's operand.  The input gradient multiplies each
+group's transposed weights by the same blocks, in reverse group order, and
+adds each tap's rows of the product into the tap's slice of a
+phase-gradient buffer, in reverse tap order, then gathers the image pixels
+back out.  Backward does not keep the polyphase copy: it rebuilds it from
+the input for the weight gradient and frees it before the input gradient,
+which is computed only when the input requires one, so the stem convs on
+the image and depth map skip it.  No array larger than the padded input or
+the padded output is built, and the accumulator and the zero-padded
+upstream gradient exist one block at a time.
 
 Batch norm is one graph node in train and eval mode alike; the mode picks
 the statistics and nothing else.  Train mode uses the batch mean and
@@ -284,10 +283,10 @@ def _stacks_taps(C: int, O: int, live: int) -> bool:
 class _ConvPlan:
     """What a flat-shift convolution of a (B, C, H, W) input to O channels
     derives from the shapes alone: output and polyphase sizes, live taps,
-    the phases they read with each phase's (phase, image) slices, whether
-    the taps are stacked into one group and the row blocks of that group.
-    Built once per shape by :func:`_conv_plan` and shared read-only by
-    every call."""
+    the phases they read with each phase's (phase, image) slices, the tap
+    groups as (first tap, tap count) and the row blocks every group runs
+    over.  Built once per shape by :func:`_conv_plan` and shared read-only
+    by every call."""
 
     def __init__(self, shape: tuple, O: int, k: int, s: int, d: int):
         B, C, H, W = self.B, self.C, self.H, self.W = shape
@@ -295,9 +294,10 @@ class _ConvPlan:
         self.Ho, self.Wo = (H - 1) // s + 1, (W - 1) // s + 1
         self.Hq, self.Wq = self.Ho + R, self.Wo + R
         self.length = self.Hq * self.Wq + R
-        self.n = self.Ho * self.Wq
         phases, self.taps = _live_taps(H, W, k, s, d)
         self.phases = len(phases)
+        # The live taps' columns of a (O, C, k*k) weight.
+        self.columns = [i * k + j for i, j, _, _ in self.taps]
         # Per phase p: the (rows, cols) index of its (B, C, Hq, Wq) view and
         # of the image pixels it holds.
         self.copies = []
@@ -305,16 +305,23 @@ class _ConvPlan:
             ru, rx = _phase_slices(a, s, pad, H, self.Hq)
             cv, cx = _phase_slices(b, s, pad, W, self.Wq)
             self.copies.append((p, (..., ru, cv), (..., rx, cx)))
-        self.stacked = _stacks_taps(C, O, len(self.taps))
-        # A stacked group runs over blocks of whole output rows, so that each
-        # block's product lands in its rows of the output.  Its workspace of
-        # (taps*C, rows*Wq) values is at most one image's polyphase copy and
+        T = len(self.taps)
+        self.stacked = _stacks_taps(C, O, T)
+        self.groups = [(0, T)] if self.stacked else [(t, 1) for t in range(T)]
+        # Rows of the workspace that a stacked group copies its slices into;
+        # a lone tap's slice is read in place.
+        self.copied = T * C if self.stacked else 0
+        # Every group runs over blocks of whole output rows, so that each
+        # block's product lands in its rows of the output.  Lone taps copy
+        # nothing, so each image is one block.  A stacked group's workspace
+        # of (T*C, rows*Wq) values is at most one image's polyphase copy and
         # at most _WORKSPACE_VALUES; the rows are cut into the fewest blocks
         # that allows, of near-equal height, and a block holds at least one
         # row.
-        T = len(self.taps) if self.stacked else 1
-        budget = min(self.phases * C * self.length, _WORKSPACE_VALUES)
-        count = -(-self.Ho // max(1, budget // (T * C * self.Wq)))
+        count = 1
+        if self.stacked:
+            budget = min(self.phases * C * self.length, _WORKSPACE_VALUES)
+            count = -(-self.Ho // max(1, budget // (T * C * self.Wq)))
         rows = -(-self.Ho // count)
         self.blocks = [(r0, min(r0 + rows, self.Ho)) for r0 in range(0, self.Ho, rows)]
         self.block_rows = rows
@@ -338,35 +345,42 @@ class _ConvPlan:
             out[image_idx] = self._view(buf, p)[phase_idx]
         return out
 
-    def tap_weights(self, wd: np.ndarray) -> np.ndarray:
-        """The live taps' weights as one (O, T, C) array, so that tap t's
-        (O, C) matrix is ``[:, t]`` and a stacked group's (O, T*C) matrix is
-        its reshape, both in a layout BLAS reads in place.  Each output
-        channel's (C, k*k) block is transposed where it lies, in cache."""
-        O, C, _, k = wd.shape
-        w3 = wd.reshape(O, C, k * k)
-        if len(self.taps) < k * k:
-            w3 = w3[:, :, [i * k + j for i, j, _, _ in self.taps]]
-        return np.ascontiguousarray(w3.transpose(0, 2, 1))
+    def group_weights(self, wd: np.ndarray) -> list:
+        """Each group's (O, T*C) weight matrix, in group order: a view of
+        one (O, taps*C) pack of the live taps' weights, in a layout BLAS
+        reads in place.  Each output channel's (C, k*k) block is transposed
+        where it lies, in cache."""
+        O, C = wd.shape[:2]
+        w3 = wd.reshape(O, C, -1)
+        if len(self.columns) < w3.shape[2]:
+            w3 = w3[:, :, self.columns]
+        flat = np.ascontiguousarray(w3.transpose(0, 2, 1)).reshape(O, -1)
+        return [flat[:, t0 * C : (t0 + T) * C] for t0, T in self.groups]
 
-    def stack(self, ws: np.ndarray, xq_b: np.ndarray, r0: int, r1: int) -> np.ndarray:
-        """The stacked group's slices of one image's polyphase copy ``xq_b``
-        for output rows [r0, r1), copied into the workspace ``ws``."""
+    def operands(self, ws: np.ndarray, xq_b: np.ndarray, r0: int, r1: int):
+        """Each group's (T*C, (r1-r0)*Wq) operand for output rows [r0, r1)
+        of one image's polyphase copy ``xq_b``, in group order: a lone
+        tap's slice, read in place, or a stacked group's slices copied into
+        ``ws`` as it is reached."""
         C, c0, c1 = self.C, r0 * self.Wq, r1 * self.Wq
-        for t, (_, _, p, off) in enumerate(self.taps):
-            ws[t * C : (t + 1) * C, : c1 - c0] = xq_b[p, :, off + c0 : off + c1]
-        return ws[:, : c1 - c0]
+        for t0, T in self.groups:
+            if T == 1:
+                _, _, p, off = self.taps[t0]
+                yield xq_b[p, :, off + c0 : off + c1]
+                continue
+            for t, (_, _, p, off) in enumerate(self.taps[t0 : t0 + T]):
+                ws[t * C : (t + 1) * C, : c1 - c0] = xq_b[p, :, off + c0 : off + c1]
+            yield ws[: T * C, : c1 - c0]
 
-    def workspace(self) -> np.ndarray:
-        return np.empty((len(self.taps) * self.C, self.block_rows * self.Wq))
+    def workspace(self, rows: int) -> np.ndarray:
+        return np.empty((rows, self.block_rows * self.Wq))
 
-    def upstream_blocks(self, g: np.ndarray):
+    def upstream_blocks(self, g: np.ndarray, buf: np.ndarray):
         """(image, r0, r1, (O, (r1-r0)*Wq) block of the upstream gradient
         ``g`` laid out as the product's columns, 0 in the dropped ones), for
-        each image and row block of a stacked group.  One buffer serves
-        every block."""
+        each image and row block.  Every block is written into ``buf``, an
+        (O, block_rows, Wq) array whose columns past Wo are 0."""
         O, Wo = g.shape[1], self.Wo
-        buf = np.zeros((O, self.block_rows, self.Wq))
         for bi in range(self.B):
             for r0, r1 in self.blocks:
                 buf[:, : r1 - r0, :Wo] = g[bi, :, r0:r1]
@@ -379,37 +393,30 @@ def _conv_plan(shape: tuple, O: int, k: int, s: int, d: int) -> _ConvPlan:
 
 
 def _conv_flat(x: Tensor, w: Tensor, b: Tensor | None, k: int, s: int, d: int) -> Tensor:
-    """Flat-shift implicit GEMM over the polyphase copy of the input, one
-    product per tap group."""
+    """Flat-shift implicit GEMM over the polyphase copy of the input: per
+    image and row block, one product per tap group."""
     plan = _conv_plan(x.shape, w.shape[0], k, s, d)
     B, C, O = plan.B, plan.C, w.shape[0]
-    Ho, Wo, Wq, n, taps = plan.Ho, plan.Wo, plan.Wq, plan.n, plan.taps
+    Ho, Wo, Wq, taps = plan.Ho, plan.Wo, plan.Wq, plan.taps
 
+    # The first group's product goes straight into the block's accumulator;
+    # each later group's is added to it.  Each block's sum is copied into
+    # its output rows.
     xq = plan.copy_in(x.data)
-    weights = plan.tap_weights(w.data)
-    if plan.stacked:
-        # Each block's product is copied straight into its output rows.
-        wg = weights.reshape(O, -1)
-        ws, prod = plan.workspace(), np.empty((O, plan.block_rows * Wq))
-        out = np.empty((B, O, Ho, Wo))
-        for bi in range(B):
-            for r0, r1 in plan.blocks:
-                block = np.matmul(wg, plan.stack(ws, xq[bi], r0, r1), out=prod[:, : (r1 - r0) * Wq])
-                out[bi, :, r0:r1] = block.reshape(O, r1 - r0, Wq)[:, :, :Wo]
-        del xq, ws, prod
-    else:
-        # Tap by tap into an accumulator of the product's layout.
-        (_, _, p0, off0), *rest = taps
-        acc = np.empty((B, O, n))
-        tmp = np.empty((O, n))
-        for bi in range(B):
-            np.matmul(weights[:, 0], xq[bi, p0, :, off0 : off0 + n], out=acc[bi])
-            for t, (_, _, p, off) in enumerate(rest, 1):
-                np.matmul(weights[:, t], xq[bi, p, :, off : off + n], out=tmp)
-                acc[bi] += tmp
-        del xq, tmp
-        out = np.ascontiguousarray(acc.reshape(B, O, Ho, Wq)[:, :, :, :Wo])
-        del acc
+    w0, *rest = plan.group_weights(w.data)
+    ws = plan.workspace(plan.copied)
+    acc = np.empty((O, plan.block_rows * Wq))
+    tmp = np.empty_like(acc) if rest else None
+    out = np.empty((B, O, Ho, Wo))
+    for bi in range(B):
+        for r0, r1 in plan.blocks:
+            m = (r1 - r0) * Wq
+            a, t = acc[:, :m], tmp[:, :m] if rest else None
+            operands = plan.operands(ws, xq[bi], r0, r1)
+            np.matmul(w0, next(operands), out=a)
+            for wg, operand in zip(rest, operands):
+                a += np.matmul(wg, operand, out=t)
+            out[bi, :, r0:r1] = a.reshape(O, r1 - r0, Wq)[:, :, :Wo]
     if b is not None:
         out += b.data[:, None, None]
 
@@ -419,52 +426,35 @@ def _conv_flat(x: Tensor, w: Tensor, b: Tensor | None, k: int, s: int, d: int) -
     xd, wd, need_gx, has_bias = x.data, w.data, x.requires_grad, b is not None
 
     def bwd(g):
-        gw = np.zeros((k, k, O, C))
+        # The workspace also holds each group's (T*C, columns) product of the
+        # input gradient, so it has room for a lone tap's C rows.
+        ws = plan.workspace(max(plan.copied, C))
+        ub = np.zeros((O, plan.block_rows, Wq))
         xq = plan.copy_in(xd)
-        if plan.stacked:
-            ws, gwg = plan.workspace(), np.zeros((O, len(taps) * C))
-            for bi, r0, r1, gb in plan.upstream_blocks(g):
-                gwg += np.matmul(gb, plan.stack(ws, xq[bi], r0, r1).T)
-            for t, (i, j, _, _) in enumerate(taps):
-                gw[i, j] = gwg[:, t * C : (t + 1) * C]
-        else:
-            gf = np.zeros((B, O, Ho, Wq))
-            gf[:, :, :, :Wo] = g
-            gf = gf.reshape(B, O, n)
-            for i, j, p, off in taps:
-                gw[i, j] = np.matmul(gf, xq[:, p, :, off : off + n].transpose(0, 2, 1)).sum(axis=0)
-        del xq
-        gw = np.ascontiguousarray(gw.transpose(2, 3, 0, 1))
+        gws = [np.zeros((O, T * C)) for _, T in plan.groups]
+        for bi, r0, r1, gb in plan.upstream_blocks(g, ub):
+            for gwg, operand in zip(gws, plan.operands(ws, xq[bi], r0, r1)):
+                gwg += np.matmul(gb, operand.T)
+        del xq, operand  # a lone tap's operand is a view of xq
+        gw = np.zeros((k * k, O, C))
+        for (t0, T), gwg in zip(plan.groups, gws):
+            gw[plan.columns[t0 : t0 + T]] = gwg.reshape(O, T, C).transpose(1, 0, 2)
+        del gws
+        gw = np.ascontiguousarray(gw.reshape(k, k, O, C).transpose(2, 3, 0, 1))
         gx = None
         if need_gx:
-            weights = plan.tap_weights(wd)
+            # Each tap's rows of its group's product are added into its slice
+            # of gq, in reverse tap order.
+            groups = list(zip(plan.groups, [wg.T for wg in plan.group_weights(wd)]))[::-1]
             gq = plan.zeros()
-            if plan.stacked:
-                # Each tap's rows of the block's product are added into its
-                # slice of gq, in reverse tap order.
-                wgT = weights.reshape(O, -1).T
-                for bi, r0, r1, gb in plan.upstream_blocks(g):
-                    prod = np.matmul(wgT, gb, out=ws[:, : (r1 - r0) * Wq])
-                    c0, c1 = r0 * Wq, r1 * Wq
-                    for t in reversed(range(len(taps))):
-                        _, _, p, off = taps[t]
+            for bi, r0, r1, gb in plan.upstream_blocks(g, ub):
+                c0, c1 = r0 * Wq, r1 * Wq
+                for (t0, T), wgT in groups:
+                    prod = np.matmul(wgT, gb, out=ws[: T * C, : c1 - c0])
+                    for t in reversed(range(T)):
+                        _, _, p, off = taps[t0 + t]
                         gq[bi, p, :, off + c0 : off + c1] += prod[t * C : (t + 1) * C]
-            else:
-                # A tap's (C, n) product goes into rows of gq's length L whose
-                # tails stay 0, so it is added to gq as one contiguous run:
-                # numpy would copy a strided (C, n) target before adding in
-                # place.
-                L = plan.length
-                gq_runs = gq.reshape(B, -1, C * L)
-                tmp = np.zeros((C, L))
-                run = (C - 1) * L + n
-                for bi in range(B):
-                    for t in reversed(range(len(taps))):
-                        _, _, p, off = taps[t]
-                        np.matmul(weights[:, t].T, gf[bi], out=tmp[:, :n])
-                        gq_runs[bi, p, off : off + run] += tmp.reshape(-1)[:run]
-                del gf, tmp
-            del weights
+            del groups
             gx = plan.gather(gq)
         if not has_bias:
             return gx, gw

@@ -106,7 +106,7 @@ class MetricReport:
 
 def _checked_pairs(preds, gts) -> list[tuple[np.ndarray, np.ndarray]]:
     """Float64 (pred, gt) pairs after the empty, count, shape and value
-    checks."""
+    checks; every map is 2-D with at least one pixel."""
     if len(preds) == 0:
         raise ValueError("empty dataset")
     if len(preds) != len(gts):
@@ -118,6 +118,10 @@ def _checked_pairs(preds, gts) -> list[tuple[np.ndarray, np.ndarray]]:
     for i, (p, g) in enumerate(pairs):
         if p.shape != g.shape:
             raise ValueError(f"shape mismatch: pred {p.shape} vs gt {g.shape}")
+        if p.ndim != 2:
+            raise ValueError(f"map {i} has shape {p.shape}, not (H, W)")
+        if p.size == 0:
+            raise ValueError(f"map {i} has no pixels: shape {p.shape}")
         if not np.all((p >= 0.0) & (p <= 1.0)):
             raise ValueError(f"prediction {i} has values that are not finite or not in [0, 1]")
         if not np.all((g == 0.0) | (g == 1.0)):

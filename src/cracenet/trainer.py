@@ -93,8 +93,15 @@ class TrainConfig:
     def __post_init__(self):
         if self.mode not in ("rgb", "rgbd"):
             raise ValueError(f"mode must be 'rgb' or 'rgbd', got {self.mode!r}")
-        if self.lr_backbone <= 0 or self.lr_head <= 0:
-            raise ValueError("learning rates must be positive")
+        # Negated tests, so that nan fails them too.
+        for name in ("lr_backbone", "lr_head"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        for name in ("momentum", "weight_decay"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be non-negative and finite, got {getattr(self, name)}")
+        if self.warmup_steps is not None and self.warmup_steps < 0:
+            raise ValueError(f"warmup_steps must be non-negative, got {self.warmup_steps}")
         for name in ("total_steps", "batch_size", "checkpoint_interval"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")

@@ -263,6 +263,38 @@ class TestConv2d:
         assert_rel_close(gw, want[1])
         assert_rel_close(gx, want[0])
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        C=st.sampled_from([1, 2, 3, 8, 16]),
+        O=st.integers(1, 64),
+        stride=st.integers(1, 3),
+        dilation=st.integers(1, 3),
+        B=st.integers(1, 2),
+        H=st.integers(1, 7),
+        W=st.integers(1, 7),
+    )
+    @example(C=1, O=16, stride=2, dilation=1, B=2, H=7, W=6)
+    @example(C=16, O=32, stride=1, dilation=2, B=1, H=3, W=2)
+    def test_plan_groups_cover_the_live_taps_in_bounded_blocks(
+        self, C, O, stride, dilation, B, H, W
+    ):
+        # A lone tap's product is the tap-by-tap sum to the bit only because
+        # it spans a whole image; a stacked group's workspace stays bounded.
+        plan = layers._conv_plan((B, C, H, W), O, 3, stride, dilation)
+        T = len(plan.taps)
+        assert [t0 + t for t0, n in plan.groups for t in range(n)] == list(range(T))
+        assert [r for r0, r1 in plan.blocks for r in range(r0, r1)] == list(range(plan.Ho))
+        if plan.stacked:
+            assert plan.groups == [(0, T)]
+            # A block holds at least one row, which on a map of a few rows
+            # (C1 -> O4 at 2x2: 36 values) outgrows the 18-value copy.
+            workspace = plan.copied * plan.block_rows * plan.Wq
+            bound = min(plan.phases * C * plan.length, layers._WORKSPACE_VALUES)
+            assert workspace <= bound or plan.block_rows == 1
+        else:
+            assert plan.groups == [(t, 1) for t in range(T)]
+            assert plan.blocks == [(0, plan.Ho)] and plan.copied == 0
+
     @pytest.mark.parametrize(
         "C, O, H, dilation, stacked",
         [(1, 16, 8, 1, True), (3, 16, 8, 1, True), (16, 64, 8, 1, True),

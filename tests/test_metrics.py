@@ -313,16 +313,18 @@ LIST_METRICS = {
 
 
 class TestInputCheck:
-    @pytest.mark.parametrize("case", ["empty", "count", "shape"])
+    @pytest.mark.parametrize("case", ["empty", "count", "shape", "no_pixels", "not_2d"])
     @pytest.mark.parametrize("name", sorted(LIST_METRICS))
     def test_malformed_lists_are_errors(self, name, case):
         pred, gt = toy_pair(100, 5)
-        preds, gts = {
-            "empty": ([], []),
-            "count": ([pred, pred], [gt]),
-            "shape": ([pred], [gt[:, :4]]),
+        preds, gts, match = {
+            "empty": ([], [], "empty dataset"),
+            "count": ([pred, pred], [gt], "2 predictions vs 1 ground truths"),
+            "shape": ([pred], [gt[:, :4]], "shape mismatch"),
+            "no_pixels": ([pred, pred[:0, :0]], [gt, gt[:0, :0]], r"map 1 has no pixels"),
+            "not_2d": ([pred[None]], [gt[None]], r"map 0 has shape \(1, 5, 5\)"),
         }[case]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=match):
             LIST_METRICS[name](preds, gts)
 
     @pytest.mark.parametrize(

@@ -64,10 +64,14 @@ def dataset(tmp_path_factory):
 
 class TestTrainConfig:
     # input_size 0 and -32 are multiples of 32 below the 32-pixel floor.
+    # A config file can carry nan and inf, and nan <= 0 is False.
     @pytest.mark.parametrize(
         "name, value",
         [("batch_size", 0), ("batch_size", -1), ("checkpoint_interval", 0),
-         ("input_size", 0), ("input_size", -32), ("total_steps", 0), ("total_steps", -3)],
+         ("input_size", 0), ("input_size", -32), ("total_steps", 0), ("total_steps", -3),
+         ("lr_head", float("nan")), ("lr_head", 0.0), ("lr_backbone", float("inf")),
+         ("lr_backbone", -0.1), ("momentum", float("nan")), ("momentum", -0.5),
+         ("weight_decay", -1.0), ("weight_decay", float("inf")), ("warmup_steps", -4)],
     )
     def test_rejects_impossible_sizes(self, name, value):
         with pytest.raises(ValueError, match=name):
