@@ -255,6 +255,9 @@ def gen_synthetic(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    # A 1x1 scene's foreground fraction is 0 or 1, never within the bounds.
+    if size < 2:
+        raise ValueError(f"size must be >= 2, got {size}")
     with_depth = with_depth or depth_only_cue
     out_dir = Path(out_dir)
     (out_dir / "images").mkdir(parents=True, exist_ok=True)

@@ -5,19 +5,19 @@ side), so stride-1 layers preserve spatial dims and stride-s layers emit
 ceil(H/s).  Forward passes never mutate parameters; updates are the
 trainer's job.
 
-A 1x1 stride-1 convolution is one batched matrix product on the NCHW
-input.  Every other convolution is a flat-shift implicit GEMM (Chetlur et
-al., 2014) over a polyphase copy of the zero-padded input.  With
-R = (k-1)*d // s, phase (a, b) holds the padded pixels [a::s, b::s] as
-rows of width Wq = Wo + R laid end to end, followed by R slack columns.
-Output pixel (r, c) sits at column r*Wq + c, and kernel tap (i, j) reads
-it from phase (i*d % s, j*d % s) at offset (i*d // s)*Wq + j*d // s, so
-the output is the sum over taps of the tap's (O, C) weight times a
-contiguous slice of Ho*Wq columns, of which the R past each row's end are
-dropped.  Stride 1 is the one-phase case, and only the phases some tap
-reads are copied: a 1x1 stride-2 convolution reads one of four.  A tap
-that reads only padding (a small map under a large dilation) adds exact
-zeros; it is skipped and its weight gradient is 0.
+Every convolution is a flat-shift implicit GEMM (Chetlur et al., 2014)
+over a polyphase copy of the zero-padded input.  With R = (k-1)*d // s,
+phase (a, b) holds the padded pixels [a::s, b::s] as rows of width
+Wq = Wo + R laid end to end, followed by R slack columns.  Output pixel
+(r, c) sits at column r*Wq + c, and kernel tap (i, j) reads it from phase
+(i*d % s, j*d % s) at offset (i*d // s)*Wq + j*d // s, so the output is
+the sum over taps of the tap's (O, C) weight times a contiguous slice of
+Ho*Wq columns, of which the R past each row's end are dropped.  Stride 1
+is the one-phase case, and only the phases some tap reads are copied: a
+1x1 stride-2 convolution reads one of four, and a 1x1 stride-1 one, with
+no padding, reads the input itself, uncopied.  A tap that reads only
+padding (a small map under a large dilation) adds exact zeros; it is
+skipped and its weight gradient is 0.
 
 The live taps are summed in tap groups, and the group rule depends on the
 shape alone: all live taps form one group when there are several and
@@ -30,33 +30,37 @@ or a stacked group's slices copied side by side into a workspace, the
 row-wise lowering of MEC (Cho & Brand, 2017) applied to the flat shift.
 The first group's product goes into an accumulator of the block's columns
 and each later one is added to it, so lone taps are summed tap by tap, to
-the bit as always; the block's sum is copied into its output rows.  Lone
-taps copy nothing, so each image is one block.  A stacked group's rows are
-cut into the fewest blocks that keep its workspace within one image's
-polyphase copy, so one padded input, and within 2**16 values, which stay
-in a core's L2 cache; a block holds at least one row.  Stacking reorders
-each output's sum, which moves its last bits.  In fresh processes on one
-core with OpenBLAS, stacking took the batch-2 depth stem (C1 -> O16,
-256x256, stride 2) forward from 13-21 to about 1 ms, the RGB stem (C3)
-from 9-11 to about 2 ms and C16 -> O64 at 64x64 from 10-12 to 4-6 ms; on
-C16 -> O16, C32 -> O64 and C64 -> O64 it did not pay reliably
-(``BENCH_conv.json``).  Everything derived from the shapes alone (sizes,
-live taps, phases and their slices, tap groups and row blocks) is a
-``_ConvPlan``, built once per (input shape, output channels, kernel,
-stride, dilation) and cached, as the resampling grids are.
+the bit as always.  When R = 0 (every 1x1 convolution) the block's columns
+are its output rows, which are the accumulator; otherwise the block's sum
+is copied into them.  Lone taps copy nothing, so each image is one block.
+A stacked group's rows are cut into the fewest blocks that keep its
+workspace within one image's polyphase copy, so one padded input, and
+within 2**16 values, which stay in a core's L2 cache; a block holds at
+least one row.  Stacking reorders each output's sum, which moves its last
+bits.  In fresh processes on one core with OpenBLAS, stacking took the
+batch-2 depth stem (C1 -> O16, 256x256, stride 2) forward from 13-21 to
+about 1 ms, the RGB stem (C3) from 9-11 to about 2 ms and C16 -> O64 at
+64x64 from 10-12 to 4-6 ms; on C16 -> O16, C32 -> O64 and C64 -> O64 it
+did not pay reliably (``BENCH_conv.json``).  Everything derived from the
+shapes alone (sizes, live taps, phases and their slices, tap groups and
+row blocks) is a ``_ConvPlan``, built once per (input shape, output
+channels, kernel, stride, dilation) and cached, as the resampling grids
+are.
 
 Backward runs the same loop twice.  The weight gradient of a group sums,
 over images and blocks, the block's upstream gradient, zero in the dropped
-columns, times the group's operand.  The input gradient multiplies each
-group's transposed weights by the same blocks, in reverse group order, and
-adds each tap's rows of the product into the tap's slice of a
-phase-gradient buffer, in reverse tap order, then gathers the image pixels
-back out.  Backward does not keep the polyphase copy: it rebuilds it from
-the input for the weight gradient and frees it before the input gradient,
-which is computed only when the input requires one, so the stem convs on
-the image and depth map skip it.  No array larger than the padded input or
-the padded output is built, and the accumulator and the zero-padded
-upstream gradient exist one block at a time.
+columns (a view of the upstream gradient when R = 0), times the group's
+operand.  The input gradient multiplies each group's transposed weights by
+the same blocks, in reverse group order, and adds each tap's rows of the
+product into the tap's slice of a phase-gradient buffer, in reverse tap
+order, then gathers the image pixels back out; a single live tap's product
+is written into its slice, which no two blocks share.  Backward does not
+keep the polyphase copy: it rebuilds it from the input for the weight
+gradient and frees it before the input gradient, which is computed only
+when the input requires one, so the stem convs on the image and depth map
+skip it.  No array larger than the padded input or the padded output is
+built, and the accumulator and the zero-padded upstream gradient exist one
+block at a time.
 
 Batch norm is one graph node in train and eval mode alike; the mode picks
 the statistics and nothing else.  Train mode uses the batch mean and
@@ -224,8 +228,6 @@ def conv2d(x: Tensor, layer: Conv2dLayer) -> Tensor:
         raise ShapeError(
             f"conv2d: input has {C} channels, layer expects {layer.in_channels}"
         )
-    if layer.kernel == 1 and layer.stride == 1:
-        return _conv1x1(x, layer.weight, layer.bias)
     return _conv_flat(x, layer.weight, layer.bias, layer.kernel, layer.stride, layer.dilation)
 
 
@@ -296,6 +298,8 @@ class _ConvPlan:
         self.length = self.Hq * self.Wq + R
         phases, self.taps = _live_taps(H, W, k, s, d)
         self.phases = len(phases)
+        # With no padding and stride 1 the one phase is the input itself.
+        self.in_place = pad == 0 and s == 1
         # The live taps' columns of a (O, C, k*k) weight.
         self.columns = [i * k + j for i, j, _, _ in self.taps]
         # Per phase p: the (rows, cols) index of its (B, C, Hq, Wq) view and
@@ -333,6 +337,8 @@ class _ConvPlan:
         return buf[:, p, :, : self.Hq * self.Wq].reshape(self.B, self.C, self.Hq, self.Wq)
 
     def copy_in(self, xd: np.ndarray) -> np.ndarray:
+        if self.in_place:
+            return xd.reshape(self.B, 1, self.C, self.length)
         buf = self.zeros()
         for p, phase_idx, image_idx in self.copies:
             self._view(buf, p)[phase_idx] = xd[image_idx]
@@ -340,6 +346,8 @@ class _ConvPlan:
 
     def gather(self, buf: np.ndarray) -> np.ndarray:
         """The image pixels of ``buf``; those of phases no tap reads are 0."""
+        if self.in_place:
+            return buf.reshape(self.B, self.C, self.H, self.W)
         out = np.zeros((self.B, self.C, self.H, self.W))
         for p, phase_idx, image_idx in self.copies:
             out[image_idx] = self._view(buf, p)[phase_idx]
@@ -375,14 +383,18 @@ class _ConvPlan:
     def workspace(self, rows: int) -> np.ndarray:
         return np.empty((rows, self.block_rows * self.Wq))
 
-    def upstream_blocks(self, g: np.ndarray, buf: np.ndarray):
+    def upstream_blocks(self, g: np.ndarray, buf: np.ndarray | None):
         """(image, r0, r1, (O, (r1-r0)*Wq) block of the upstream gradient
         ``g`` laid out as the product's columns, 0 in the dropped ones), for
-        each image and row block.  Every block is written into ``buf``, an
-        (O, block_rows, Wq) array whose columns past Wo are 0."""
+        each image and row block.  With R = 0 there are no dropped columns
+        and a block is a view of ``g``; otherwise it is written into
+        ``buf``, an (O, block_rows, Wq) array whose columns past Wo are 0."""
         O, Wo = g.shape[1], self.Wo
         for bi in range(self.B):
             for r0, r1 in self.blocks:
+                if buf is None:
+                    yield bi, r0, r1, g[bi, :, r0:r1].reshape(O, -1)
+                    continue
                 buf[:, : r1 - r0, :Wo] = g[bi, :, r0:r1]
                 yield bi, r0, r1, buf[:, : r1 - r0].reshape(O, -1)
 
@@ -400,23 +412,26 @@ def _conv_flat(x: Tensor, w: Tensor, b: Tensor | None, k: int, s: int, d: int) -
     Ho, Wo, Wq, taps = plan.Ho, plan.Wo, plan.Wq, plan.taps
 
     # The first group's product goes straight into the block's accumulator;
-    # each later group's is added to it.  Each block's sum is copied into
-    # its output rows.
+    # each later group's is added to it.  With R = 0 (Wq = Wo) a block's
+    # columns are its output rows, which are the accumulator; otherwise the
+    # block's sum is copied into them.
     xq = plan.copy_in(x.data)
     w0, *rest = plan.group_weights(w.data)
     ws = plan.workspace(plan.copied)
-    acc = np.empty((O, plan.block_rows * Wq))
-    tmp = np.empty_like(acc) if rest else None
+    acc = None if Wq == Wo else np.empty((O, plan.block_rows * Wq))
+    tmp = np.empty((O, plan.block_rows * Wq)) if rest else None
     out = np.empty((B, O, Ho, Wo))
     for bi in range(B):
         for r0, r1 in plan.blocks:
             m = (r1 - r0) * Wq
-            a, t = acc[:, :m], tmp[:, :m] if rest else None
+            a = out[bi, :, r0:r1].reshape(O, m) if acc is None else acc[:, :m]
+            t = tmp[:, :m] if rest else None
             operands = plan.operands(ws, xq[bi], r0, r1)
             np.matmul(w0, next(operands), out=a)
             for wg, operand in zip(rest, operands):
                 a += np.matmul(wg, operand, out=t)
-            out[bi, :, r0:r1] = a.reshape(O, r1 - r0, Wq)[:, :, :Wo]
+            if acc is not None:
+                out[bi, :, r0:r1] = a.reshape(O, r1 - r0, Wq)[:, :, :Wo]
     if b is not None:
         out += b.data[:, None, None]
 
@@ -429,7 +444,7 @@ def _conv_flat(x: Tensor, w: Tensor, b: Tensor | None, k: int, s: int, d: int) -
         # The workspace also holds each group's (T*C, columns) product of the
         # input gradient, so it has room for a lone tap's C rows.
         ws = plan.workspace(max(plan.copied, C))
-        ub = np.zeros((O, plan.block_rows, Wq))
+        ub = None if Wq == Wo else np.zeros((O, plan.block_rows, Wq))
         xq = plan.copy_in(xd)
         gws = [np.zeros((O, T * C)) for _, T in plan.groups]
         for bi, r0, r1, gb in plan.upstream_blocks(g, ub):
@@ -444,12 +459,18 @@ def _conv_flat(x: Tensor, w: Tensor, b: Tensor | None, k: int, s: int, d: int) -
         gx = None
         if need_gx:
             # Each tap's rows of its group's product are added into its slice
-            # of gq, in reverse tap order.
+            # of gq, in reverse tap order.  The slice of a plan's only tap is
+            # written by no other block, so the product goes straight there;
+            # in an in-place plan that slice is all of gq.
             groups = list(zip(plan.groups, [wg.T for wg in plan.group_weights(wd)]))[::-1]
-            gq = plan.zeros()
+            gq = np.empty((B, 1, C, plan.length)) if plan.in_place else plan.zeros()
             for bi, r0, r1, gb in plan.upstream_blocks(g, ub):
                 c0, c1 = r0 * Wq, r1 * Wq
                 for (t0, T), wgT in groups:
+                    if len(taps) == 1:
+                        _, _, p, off = taps[0]
+                        np.matmul(wgT, gb, out=gq[bi, p, :, off + c0 : off + c1])
+                        continue
                     prod = np.matmul(wgT, gb, out=ws[: T * C, : c1 - c0])
                     for t in reversed(range(T)):
                         _, _, p, off = taps[t0 + t]
@@ -461,29 +482,6 @@ def _conv_flat(x: Tensor, w: Tensor, b: Tensor | None, k: int, s: int, d: int) -
         return gx, gw, g.reshape(B, O, Ho * Wo).sum(axis=(0, 2))
 
     return make_node(out, parents, bwd)
-
-
-def _conv1x1(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
-    B, C, H, W = x.shape
-    O = w.shape[0]
-    wmat = w.data.reshape(O, C)
-    xd = x.data.reshape(B, C, H * W)
-    out = np.matmul(wmat, xd)
-    if b is not None:
-        out += b.data[:, None]
-    out = out.reshape(B, O, H, W)
-    parents = (x, w) if b is None else (x, w, b)
-    need_gx, has_bias = x.requires_grad, b is not None
-
-    def bwd(g):
-        gm = g.reshape(B, O, H * W)
-        gx = np.matmul(wmat.T, gm).reshape(B, C, H, W) if need_gx else None
-        gw = np.matmul(gm, xd.transpose(0, 2, 1)).sum(axis=0).reshape(O, C, 1, 1)
-        if not has_bias:
-            return gx, gw
-        return gx, gw, gm.sum(axis=(0, 2))
-
-    return make_node(np.ascontiguousarray(out), parents, bwd)
 
 
 class BatchNormLayer(Module):

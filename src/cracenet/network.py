@@ -43,6 +43,8 @@ class EncoderConfig:
         self.widths = tuple(int(w) for w in self.widths)
         if len(self.widths) != 4:
             raise ValueError("encoder needs exactly 4 stage widths")
+        if any(w < 1 for w in self.widths):
+            raise ValueError(f"encoder widths must be >= 1, got {self.widths}")
 
 
 @dataclass

@@ -90,7 +90,7 @@ class TestBuildConfigs:
     @pytest.mark.parametrize(
         "name, value",
         [("batch_size", "0"), ("checkpoint_interval", "0"), ("input_size", "0"),
-         ("input_size", "-32")],
+         ("input_size", "-32"), ("widths", "0,32,64,128"), ("widths", "16,32,-64,128")],
     )
     def test_impossible_sizes_are_errors(self, name, value):
         with pytest.raises(ValueError, match=name):

@@ -98,6 +98,17 @@ class TestSynthetic:
             assert 0.05 <= s.gt.mean() <= 0.6
             assert set(np.unique(s.gt)) <= {0.0, 1.0}
 
+    @pytest.mark.parametrize("name, value", [("n", 0), ("size", 1), ("size", 0), ("size", -8)])
+    def test_impossible_sizes_create_nothing(self, tmp_path, name, value):
+        # A 1x1 scene's foreground fraction is 0 or 1, never within the
+        # bounds; 2x2 is the smallest size that can be sampled.
+        with pytest.raises(ValueError, match=name):
+            gen_synthetic(tmp_path / "d", **{"n": 2, "size": 8, name: value})
+        assert not (tmp_path / "d").exists()
+        gen_synthetic(tmp_path / "d", n=2, size=2)
+        for s in load_dataset(tmp_path / "d"):
+            assert 0.05 <= s.gt.mean() <= 0.6
+
     def test_depth_separation(self, tmp_path):
         gen_synthetic(tmp_path / "d", n=5, size=48, seed=4, with_depth=True)
         for s in load_dataset(tmp_path / "d", with_depth=True):

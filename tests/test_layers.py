@@ -118,7 +118,7 @@ class TestConv2d:
         assert x.grad is None and layer.weight.grad is not None
 
     @pytest.mark.parametrize(
-        "kernel, stride, dilation", [(3, 1, 1), (3, 2, 1), (3, 1, 2), (1, 2, 1)]
+        "kernel, stride, dilation", [(3, 1, 1), (3, 2, 1), (3, 1, 2), (1, 2, 1), (1, 1, 1)]
     )
     def test_backward_keeps_no_array_larger_than_its_input(self, kernel, stride, dilation):
         # The polyphase copy is as large as the padded input; backward rebuilds it.
@@ -128,6 +128,21 @@ class TestConv2d:
         cells = [cell.cell_contents for cell in node._backward.__closure__]
         held = [value for value in cells if isinstance(value, np.ndarray)]
         assert held and max(a.nbytes for a in held) <= x.data.nbytes
+
+    def test_1x1_stride_1_forward_copies_nothing_of_its_input(self):
+        # The one phase of a 1x1 stride-1 plan is the input itself, and with
+        # R = 0 each product is written straight into its output rows.
+        rng = np.random.default_rng(41)
+        x = t(rng.normal(size=(2, 32, 24, 24)), grad=True)
+        layer = Conv2dLayer(32, 2, 1, rng=rng)
+        conv2d(x, layer)  # builds and caches the plan
+        tracemalloc.start()
+        try:
+            out = conv2d(x, layer)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.data.nbytes + x.data.nbytes // 8, peak / x.data.nbytes
 
     @pytest.mark.parametrize(
         "stride, dilation, O",
@@ -177,6 +192,8 @@ class TestConv2d:
     )
     # The real net's smallest multi-scale branch: a 2x2 map under dilation 6.
     @example(kernel=3, stride=1, dilation=6, bias=False, B=2, C=3, O=2, H=2, W=2, seed=0)
+    # A saliency head: 1x1, stride 1, one output channel with a bias.
+    @example(kernel=1, stride=1, dilation=1, bias=True, B=2, C=5, O=1, H=3, W=7, seed=1)
     def test_values_and_gradients_match_direct_summation(
         self, kernel, stride, dilation, bias, B, C, O, H, W, seed
     ):
