@@ -19,7 +19,9 @@ shapes:
 
 A step is timed from one ``sgd_step`` return to the next, as in
 ``bench/workloads.py``; the first step is a warm-up and is dropped.  The
-result holds the median and quartiles of the remaining steps, the peak
+result holds the median and quartiles of the remaining steps and of the
+minor page faults each of them took (``ru_minflt``: memory freed early
+and allocated again costs faults, so a lower RSS can cost time), the peak
 resident set size of the worker over those steps (``ru_maxrss``; as each
 case has its own process, one case's peak does not hide another's), the
 ``tracemalloc`` peak of one training step and the final loss row.  The
@@ -27,7 +29,9 @@ traced step is one extra, untimed step run after the last timed one with
 the same arguments, so no timed step pays for the tracing and the schedule
 and loss rows are those of an untraced run; the RSS is read before it.
 Unlike the RSS, the traced peak counts array bytes alone, whatever the
-allocator keeps.
+allocator keeps, and only arrays allocated during the traced step: what
+lives on from the step before, such as gradients kept until the next
+step's backward, shows in the RSS alone.
 A case whose worker fails gets the failure row ``harness.py`` describes.
 ``--skip NAME:REASON`` records a case as not run, with the reason, without
 starting it.  The result goes to ``BENCH_train.json`` as ``harness.py``
@@ -74,12 +78,14 @@ def run_case(name: str) -> dict:
         multiscale=False,
     )
     stamps: list[float] = []
+    faults: list[int] = []
     peaks: dict[str, float] = {}
     sgd_step, train_step = trainer.sgd_step, trainer._train_step
 
     def clocked_sgd_step(*args, **kwargs):
         sgd_step(*args, **kwargs)
         stamps.append(time.perf_counter())
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
 
     def train_step_then_trace_one_more(*args):
         row = train_step(*args)
@@ -102,12 +108,14 @@ def run_case(name: str) -> dict:
     finally:
         trainer.sgd_step, trainer._train_step = sgd_step, train_step
     step_ms = [(b - a) * 1e3 for a, b in zip([start] + stamps, stamps)][1:]
+    step_faults = [b - a for a, b in zip(faults, faults[1:])]
     return {
         "mode": mode,
         "side": side,
         "batch": batch,
         "scene_seed": scene_seed,
         "step_ms": harness.quartiles(step_ms),
+        "minor_faults_per_step": harness.quartiles(step_faults),
         "peak_rss_mb": peaks["rss"],
         "tracemalloc_peak_mb": peaks["traced"],
         "final_loss": {k: float(v) for k, v in result.log_rows[-1].items()},
@@ -118,6 +126,7 @@ def show(name: str, row: dict) -> str:
     return (
         f"{name}: step {row['step_ms']['median']:.1f} ms "
         f"[{row['step_ms']['q1']:.1f}, {row['step_ms']['q3']:.1f}], "
+        f"{row['minor_faults_per_step']['median']:.0f} minor faults, "
         f"peak RSS {row['peak_rss_mb']:.0f} MB, traced {row['tracemalloc_peak_mb']:.0f} MB"
     )
 

@@ -31,15 +31,36 @@ attention maps and projections come from the stage methods' ``return_parts``.
 
 Every input is projected by a 3x3 conv-BN-ReLU, and every resampling is
 half-pixel bilinear.
+
+A recorded forward does not keep the arrays that backward can rebuild
+exactly from ones the graph keeps anyway (``layers._Rebuild``): the
+upsampled global map that ``proj_global`` reads (resampled again from the
+global input), the summed projections that ``att_cross`` reads, stage 2's
+(B, streams*n, H, W) concatenation (each stream ``s + A * s`` rebuilt from
+its projection and the attention map, one stream at a time, in one reused
+buffer) and the gated global half of ``fuse_reduce``'s input.  Backward
+recomputes each with the forward's numpy operations, in their order, so
+every byte is the same; under ``no_grad`` nothing is marked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .layers import Conv2dLayer, ConvBnRelu, Module, downsample_avg, upsample
+from .layers import (
+    Conv2dLayer,
+    ConvBnRelu,
+    Module,
+    _kept,
+    _parts,
+    _rebuilt,
+    downsample_avg,
+    resize_bilinear_np,
+    upsample,
+)
 from .tensor import (
     Tensor,
     ShapeError,
@@ -170,7 +191,7 @@ class CraceModule(Module):
         if depth is not None and depth.shape[2:] != (Hl, Wl):
             raise ShapeError("depth feature must match local spatial dims")
         pl = self.proj_local.forward(f_local, training)
-        pg = self.proj_global.forward(upsample(f_global, factor), training)
+        pg = self.proj_global.forward(_upsampled(f_global, factor), training)
         pd = self.proj_depth.forward(depth, training) if depth is not None else None
         return pl, pg, pd
 
@@ -188,12 +209,19 @@ class CraceModule(Module):
         pl, pg, pd = self.project(f_local, f_global, depth, training)
         parts = {"proj_local": pl, "proj_global": pg, "proj_depth": pd}
         streams = [s for s in (pl, pg, pd) if s is not None]
+        # Backward rebuilds the sum and the concatenation from the
+        # projections and the attention map, which the graph keeps anyway.
+        n, arrays = self.config.n, [s.data for s in streams]
+        pieces = [(n, a) for a in arrays]
         if self.att_cross is not None:
-            attn = sigmoid(self.att_cross.forward(sum(streams[1:], streams[0])))
+            summed = _rebuilt(sum(streams[1:], streams[0]), (n, partial(_sum_of, arrays)))
+            attn = sigmoid(self.att_cross.forward(summed))
+            del summed  # no local keeps the sum through the rest of the stage
             parts["attention"] = attn
+            pieces = [(n, partial(_residual, attn.data, a)) for a in arrays]
             streams = [s + attn * s for s in streams]
         parts["streams"] = streams
-        fused = concat_channels(streams)
+        fused = _rebuilt(concat_channels(streams), *pieces)
         return (fused, parts) if return_parts else fused
 
     # -- stage 2: channel attention ---------------------------------------
@@ -247,7 +275,12 @@ class CraceModule(Module):
             return (x, {}) if return_parts else x
         attn = sigmoid(self.att_global.forward(global_proj))
         gated = attn * global_proj + global_proj
-        out = self.fuse_reduce.forward(concat_channels([gated, x]))
+        # Backward rebuilds the gated half from arrays the graph keeps anyway.
+        gate = partial(_gated, attn.data, global_proj.data)
+        n = self.config.n
+        out = self.fuse_reduce.forward(
+            _rebuilt(concat_channels([gated, x]), (n, gate), (n, x.data))
+        )
         if return_parts:
             return out, {"attention": attn, "gated_global": gated}
         return out
@@ -271,6 +304,41 @@ class CraceModule(Module):
         return self.attentive_fusion(x, global_proj)
 
 
+def _upsampled(x: Tensor, factor: int) -> Tensor:
+    """``upsample(x, factor)``, marked so that backward resamples ``x``
+    again rather than keep the upsampled map."""
+    up = upsample(x, factor)
+    if up is x:
+        return x
+    xd, size = x.data, up.shape[2:]
+    return _rebuilt(up, (up.shape[1], lambda out: resize_bilinear_np(xd, size)))
+
+
+# The forward's elementwise formulas, for backward to rebuild what they made:
+# the same numpy operations on the same arrays, in the same order, written
+# into ``out`` (allocated when it is None).
+
+
+def _sum_of(streams: list, out):
+    """``sum(streams[1:], streams[0])``: the cross-attention conv's input."""
+    total = np.add(streams[0], streams[1], out=out)
+    for s in streams[2:]:
+        np.add(total, s, out=total)
+    return total
+
+
+def _residual(attn: np.ndarray, s: np.ndarray, out):
+    """``s + attn * s``: one cross-attended stream."""
+    t = np.multiply(attn, s, out=out)
+    return np.add(s, t, out=t)
+
+
+def _gated(attn: np.ndarray, g: np.ndarray, out):
+    """``attn * g + g``: the gated global stream of attentive fusion."""
+    t = np.multiply(attn, g, out=out)
+    return np.add(t, g, out=t)
+
+
 def _pooled_reduce(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """1x1 conv of ``concat([p * x, x])`` with weight ``w`` (O, 2C, 1, 1) and
     bias ``b``, where ``p`` (B, C) is each image's per-channel mean of ``x``.
@@ -280,7 +348,9 @@ def _pooled_reduce(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     backward is ``gW = [sum_b G_b * p_b | sum_b G_b]``,
     ``gx_b = W_eff,b^T g_b + (sum_o W_a * G_b) / (H W)`` (the second term,
     through the mean, broadcast over pixels) and ``gbias = sum g``.  The
-    node keeps ``x`` and (B, O, C) arrays, never the concatenation.
+    node keeps (B, O, C) arrays and ``x``, or the recipe ``x`` is marked
+    with, never the concatenation ``[p * x, x]``; ``G_b``'s columns for a
+    run of channels read only those channels of ``x``.
     """
     B, C, H, W = x.shape
     O = w.shape[0]
@@ -290,10 +360,15 @@ def _pooled_reduce(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     w_eff = wa * p[:, None, :] + wb
     out = np.matmul(w_eff, xd)
     out += b.data[:, None]
+    source = _kept(x)
 
     def bwd(g):
         gm = g.reshape(B, O, H * W)
-        G = np.matmul(gm, xd.transpose(0, 2, 1))
+        # G's columns for channels [c0, c1) read only those channels of x.
+        G = np.empty((B, O, C))
+        for c0, c1, piece in _parts(source):
+            G[:, :, c0:c1] = np.matmul(gm, piece.reshape(B, c1 - c0, H * W).transpose(0, 2, 1))
+        del piece
         gw = np.concatenate([(G * p[:, None, :]).sum(axis=0), G.sum(axis=0)], axis=1)
         gx = np.matmul(w_eff.transpose(0, 2, 1), gm)
         gx += ((wa * G).sum(axis=1) / (H * W))[:, :, None]

@@ -60,20 +60,27 @@ gradient and frees it before the input gradient, which is computed only
 when the input requires one, so the stem convs on the image and depth map
 skip it.  No array larger than the padded input or the padded output is
 built, and the accumulator and the zero-padded upstream gradient exist one
-block at a time.
+block at a time.  The weight gradient of a run of input channels reads only
+those channels, so an input marked with a recipe (:class:`_Rebuild`) is not
+kept at all: backward rebuilds it one channel piece at a time.  The CRACE
+module marks the summed projections that feed its cross-attention conv,
+the upsampled global map that feeds ``proj_global`` and the gated global
+half of ``fuse_reduce``'s concatenation.
 
 Batch norm is one graph node in train and eval mode alike; the mode picks
 the statistics and nothing else.  Train mode uses the batch mean and
 ``(var + eps) ** -0.5`` and updates the running estimates; eval mode uses
 the running estimates and ``1 / sqrt(running_var + eps)``.  The node keeps
-only the per-channel mean and rstd; its backward recomputes x_hat from the
+only the per-channel mean and rstd; its backward rebuilds x_hat from the
 input, in the forward's operation order.  In train mode it applies the
 closed form ``gx = gamma*rstd*(g - mean(g) - x_hat*mean(g*x_hat))``; in
 eval mode the statistics are constants, and ``gx = (g*gamma)*rstd``.
 Asked for a following ReLU, it emits ``relu(bn(x))`` from the same node,
 through the one ReLU kernel of ``tensor``, and its backward first masks the
 upstream by ``out > 0``; so conv -> BN -> ReLU keeps the conv output and
-the block output and nothing else per pixel.
+the block output and nothing else per pixel.  Only that mask reads the
+output, so without the ReLU (``bn2`` and ``skip_bn`` of a residual block)
+the node keeps the input alone.
 
 Upsampling is half-pixel bilinear by an integer factor; average pooling
 by an integer factor is its downsampling counterpart.
@@ -330,16 +337,19 @@ class _ConvPlan:
         self.blocks = [(r0, min(r0 + rows, self.Ho)) for r0 in range(0, self.Ho, rows)]
         self.block_rows = rows
 
-    def zeros(self) -> np.ndarray:
-        return np.zeros((self.B, self.phases, self.C, self.length))
+    def zeros(self, C: int | None = None) -> np.ndarray:
+        return np.zeros((self.B, self.phases, C or self.C, self.length))
 
     def _view(self, buf: np.ndarray, p: int) -> np.ndarray:
-        return buf[:, p, :, : self.Hq * self.Wq].reshape(self.B, self.C, self.Hq, self.Wq)
+        return buf[:, p, :, : self.Hq * self.Wq].reshape(self.B, -1, self.Hq, self.Wq)
 
     def copy_in(self, xd: np.ndarray) -> np.ndarray:
+        """The polyphase copy of ``xd``, all of the input's channels or a
+        run of them."""
+        C = xd.shape[1]
         if self.in_place:
-            return xd.reshape(self.B, 1, self.C, self.length)
-        buf = self.zeros()
+            return xd.reshape(self.B, 1, C, self.length)
+        buf = self.zeros(C)
         for p, phase_idx, image_idx in self.copies:
             self._view(buf, p)[phase_idx] = xd[image_idx]
         return buf
@@ -367,10 +377,10 @@ class _ConvPlan:
 
     def operands(self, ws: np.ndarray, xq_b: np.ndarray, r0: int, r1: int):
         """Each group's (T*C, (r1-r0)*Wq) operand for output rows [r0, r1)
-        of one image's polyphase copy ``xq_b``, in group order: a lone
-        tap's slice, read in place, or a stacked group's slices copied into
-        ``ws`` as it is reached."""
-        C, c0, c1 = self.C, r0 * self.Wq, r1 * self.Wq
+        of one image's polyphase copy ``xq_b`` of C channels, in group
+        order: a lone tap's slice, read in place, or a stacked group's
+        slices copied into ``ws`` as it is reached."""
+        C, c0, c1 = xq_b.shape[1], r0 * self.Wq, r1 * self.Wq
         for t0, T in self.groups:
             if T == 1:
                 _, _, p, off = self.taps[t0]
@@ -438,19 +448,24 @@ def _conv_flat(x: Tensor, w: Tensor, b: Tensor | None, k: int, s: int, d: int) -
     parents = (x, w) if b is None else (x, w, b)
     # Backward repacks the weights only for the input gradient.  It may read
     # w.data then: parameters get new arrays, never in-place writes.
-    xd, wd, need_gx, has_bias = x.data, w.data, x.requires_grad, b is not None
+    source, wd, need_gx, has_bias = _kept(x), w.data, x.requires_grad, b is not None
 
     def bwd(g):
         # The workspace also holds each group's (T*C, columns) product of the
         # input gradient, so it has room for a lone tap's C rows.
         ws = plan.workspace(max(plan.copied, C))
         ub = None if Wq == Wo else np.zeros((O, plan.block_rows, Wq))
-        xq = plan.copy_in(xd)
+        # The weight gradient of input channels [c0, c1) reads only them, so
+        # the input is copied in one piece at a time.  A group's columns are
+        # (tap, channel) pairs; ``gwp`` holds those of the piece's channels.
         gws = [np.zeros((O, T * C)) for _, T in plan.groups]
-        for bi, r0, r1, gb in plan.upstream_blocks(g, ub):
-            for gwg, operand in zip(gws, plan.operands(ws, xq[bi], r0, r1)):
-                gwg += np.matmul(gb, operand.T)
-        del xq, operand  # a lone tap's operand is a view of xq
+        for c0, c1, piece in _parts(source):
+            xq = plan.copy_in(piece)
+            gwps = [gwg.reshape(O, T, C)[:, :, c0:c1] for (_, T), gwg in zip(plan.groups, gws)]
+            for bi, r0, r1, gb in plan.upstream_blocks(g, ub):
+                for gwp, operand in zip(gwps, plan.operands(ws, xq[bi], r0, r1)):
+                    gwp += np.matmul(gb, operand.T).reshape(gwp.shape)
+            del xq, piece, operand  # a lone tap's operand is a view of xq
         gw = np.zeros((k * k, O, C))
         for (t0, T), gwg in zip(plan.groups, gws):
             gw[plan.columns[t0 : t0 + T]] = gwg.reshape(O, T, C).transpose(1, 0, 2)
@@ -482,6 +497,64 @@ def _conv_flat(x: Tensor, w: Tensor, b: Tensor | None, k: int, s: int, d: int) -
         return gx, gw, g.reshape(B, O, Ho * Wo).sum(axis=(0, 2))
 
     return make_node(out, parents, bwd)
+
+
+# -- inputs rebuilt in backward ---------------------------------------------
+
+
+class _Rebuild:
+    """How backward rebuilds a recorded (B, C, H, W) input instead of
+    keeping it: its channel pieces, in order, as (channels, source).  A
+    source is an array the graph keeps anyway, or a function ``fn(out)``
+    that recomputes the piece from such arrays with the forward's own numpy
+    operations, in their order, so that every byte is the same; it writes
+    into ``out`` when given one and returns the piece.  This is the
+    rematerialisation trade of Chen et al., 2016: a few elementwise passes
+    in backward for an array the graph no longer holds."""
+
+    __slots__ = ("shape", "pieces")
+
+    def __init__(self, shape: tuple, pieces: list):
+        self.shape = shape
+        self.pieces = pieces
+
+    def parts(self):
+        """(c0, c1, piece) for each piece in channel order.  Several rebuilt
+        pieces share one buffer, so only one of them exists at a time and
+        each is valid until the next is asked for."""
+        B, _, H, W = self.shape
+        rebuilt = [c for c, src in self.pieces if callable(src)]
+        buf = np.empty(B * max(rebuilt) * H * W) if len(rebuilt) > 1 else None
+        c0 = 0
+        for c, src in self.pieces:
+            if callable(src):
+                src = src(None if buf is None else buf[: B * c * H * W].reshape(B, c, H, W))
+            yield c0, c0 + c, src
+            c0 += c
+
+
+def _rebuilt(t: Tensor, *pieces) -> Tensor:
+    """``t``, marked so that the convolution or pooled reduction reading it
+    rebuilds its data from ``pieces`` (see :class:`_Rebuild`) in backward
+    instead of keeping it.  Only a recorded result is marked: with no graph
+    there is no backward to rebuild for."""
+    if t.requires_grad:
+        t._rebuild = _Rebuild(t.shape, list(pieces))
+    return t
+
+
+def _kept(x: Tensor):
+    """What a backward rule keeps of its input ``x``: the recipe ``x`` was
+    marked with, or else its data."""
+    return x._rebuild or x.data
+
+
+def _parts(kept):
+    """(c0, c1, piece) of an input as :func:`_kept` returned it: a recipe's
+    pieces in turn, or the whole array as one piece."""
+    if isinstance(kept, _Rebuild):
+        return kept.parts()
+    return [(0, kept.shape[1], kept)]
 
 
 class BatchNormLayer(Module):
@@ -534,12 +607,12 @@ class BatchNormLayer(Module):
         out *= rstd
         out *= gamma
         out += self.beta.data.reshape(1, C, 1, 1)
-        if relu:
-            _relu_(out)
+        # Only the ReLU mask reads the output, so only then is it kept.
+        masked = _relu_(out) if relu else None
 
         def bwd(g):
-            if relu:
-                g = g * (out > 0)
+            if masked is not None:
+                g = g * (masked > 0)
             # x_hat is recomputed from the input, in the forward's order.
             xhat = xd - mu
             xhat *= rstd

@@ -233,8 +233,27 @@ class SodNetwork(Module):
 
         Equal, bit for bit, to ``sigmoid(forward(...)["saliency_logits"][0])``
         in eval mode, but it records no graph and evaluates only the final
-        (level-2) saliency head.
+        (level-2) saliency head.  Before any encoder runs, a malformed input
+        raises: ``ShapeError`` for an image that is not (3, H, W) or a depth
+        map that is not (H, W), ``ModeError`` for a depth map given to an RGB
+        network or missing in RGB-D mode, and ``ValueError`` for a NaN or
+        infinite value, which ReLU would otherwise map to 0 in silence.
         """
+        image = np.asarray(image, dtype=np.float64)
+        if image.ndim != 3 or image.shape[0] != 3:
+            raise ShapeError(f"image must have shape (3, H, W), got {image.shape}")
+        if (depth is not None) != (self.mode == "rgbd"):
+            raise ModeError(f"{self.mode} network: give a depth map exactly in rgbd mode")
+        if depth is not None:
+            depth = np.asarray(depth, dtype=np.float64)
+            if depth.shape != image.shape[1:]:
+                raise ShapeError(
+                    f"depth must have the image's shape (H, W) = {image.shape[1:]}, "
+                    f"got {depth.shape}"
+                )
+        for name, arr in (("image", image), ("depth", depth)):
+            if arr is not None and not np.isfinite(arr).all():
+                raise ValueError(f"{name} holds non-finite values")
         with no_grad():
             img = Tensor(image[None])
             dep = Tensor(depth[None, None]) if depth is not None else None

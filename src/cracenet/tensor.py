@@ -33,7 +33,10 @@ without a following ReLU, and convolution in ``layers``; BCE and soft IoU
 in ``losses``), so it keeps no intermediate arrays in the graph.  ReLU has
 one in-place kernel, ``_relu_``, which ``relu`` and the batch-norm node
 share.  Only ``sigmoid``'s backward departs from plain IEEE arithmetic: it
-flushes subnormal results to zero.
+flushes subnormal results to zero.  A caller may mark a recorded result
+whose data backward can recompute exactly from arrays the graph keeps
+anyway (``Tensor._rebuild``, a ``layers._Rebuild``); the convolution or
+pooled reduction that reads it then keeps that recipe, not the array.
 
 Tensors are immutable after creation except for their ``grad`` field.  A
 graph and its tensors are confined to one thread for the duration of a
@@ -108,7 +111,7 @@ class Node:
 class Tensor:
     """N-dimensional float64 array with optional gradient tracking."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_node", "__weakref__")
+    __slots__ = ("data", "requires_grad", "grad", "_node", "_rebuild", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -119,6 +122,9 @@ class Tensor:
         self.grad: np.ndarray | None = None
         # The op that made this tensor, or a leaf's node once an op used it.
         self._node: Node | None = None
+        # How backward rebuilds ``data`` instead of keeping it, on a recorded
+        # result the caller marked (``layers._Rebuild``); None otherwise.
+        self._rebuild = None
 
     @property
     def _backward(self):
@@ -481,7 +487,14 @@ def crop2d(x: Tensor, height: int, width: int) -> Tensor:
 
 
 def zero_grads(tensors: Iterable[Tensor]) -> None:
-    """Reset gradients to zero arrays (backward accumulates with +=)."""
+    """Reset gradients to zero arrays.
+
+    :func:`backward` then adds each leaf's gradient to its array as
+    ``grad = grad + g``, a new array, never in place; a leaf whose ``grad``
+    is None gets the gradient itself.  The trainer does not call this: it
+    sets every parameter's ``grad`` to None before a step's forward, so no
+    gradient lives through it, and gives zeros after ``backward`` to the
+    parameters it did not reach."""
     for t in tensors:
         t.grad = np.zeros_like(t.data)
 
@@ -496,7 +509,8 @@ def backward(loss: Tensor) -> None:
 
     ``loss`` must be a scalar (size 1).  Only leaves (tensors without a
     backward rule) receive ``grad``; interior nodes keep none.  Gradients
-    accumulate into existing ``grad`` arrays until :func:`zero_grads`.
+    add up across calls: a leaf that already holds a ``grad`` gets
+    ``grad + g``, until :func:`zero_grads` or the caller resets it.
 
     A graph is walked once.  As each interior node is visited, its rule is
     replaced by a sentinel and its upstream array is dropped, so every

@@ -33,7 +33,7 @@ from .losses import (
 )
 from .metrics import MetricReport, evaluate_pairs
 from .network import EncoderConfig, NetworkConfig, SodNetwork, _Undrawn
-from .tensor import Tensor, backward, no_grad, sigmoid, zero_grads
+from .tensor import Tensor, backward, no_grad, sigmoid
 
 __all__ = [
     "ABLATION_SCHEDULE",
@@ -231,12 +231,17 @@ def _assemble_losses(outputs: dict, gt: np.ndarray, edge: np.ndarray, loss_cfg: 
     Multi-level supervision covers every decoder level, else the final one
     only; only supervised levels get a sigmoid.  The total is the mean of
     S (, D) (, E): L_E is always logged but joins it only with edge supervision.
+
+    ``outputs`` is consumed: no backward rule reads a logit, so each key is
+    removed as its term is formed and each logit is dropped as its sigmoid
+    is taken, rather than all of them living until the total is formed.
     """
     multi = loss_cfg.use_multilevel
     pixel = {"use_bce": loss_cfg.use_bce, "use_iou": loss_cfg.use_iou}
 
     def supervise(key, target):
-        maps = [sigmoid(t) for t in outputs[key][: None if multi else 1]]
+        logits = outputs.pop(key)[: None if multi else 1]
+        maps = [sigmoid(logits.pop(0)) for _ in range(len(logits))]
         target = target[:, None]
         if key == "edge_logits":
             return multilevel_edge_loss(maps, target) if multi else bce_loss(maps[0], target)
@@ -414,14 +419,22 @@ def _train_step(model, params, velocities, samples, step, cfg, loss_cfg) -> dict
     image_t = Tensor(np.stack(images))
     depth_t = Tensor(np.stack(depths)[:, None]) if cfg.mode == "rgbd" else None
 
-    outputs = model.forward(image_t, depth_t, training=True)
-    total, parts = _assemble_losses(outputs, np.stack(gts), np.stack(edges), loss_cfg)
-    del outputs  # no backward rule reads the logits
+    # The last step's gradients are dropped before the forward, not kept
+    # through it; backward fills the new ones.
+    for p in params.values():
+        p.grad = None
+    total, parts = _assemble_losses(
+        model.forward(image_t, depth_t, training=True), np.stack(gts), np.stack(edges), loss_cfg
+    )
     if not np.isfinite(total.item()):
         raise DivergenceError(f"loss became non-finite at step {step}")
 
-    zero_grads(params.values())
     backward(total)
+    for p in params.values():
+        if p.grad is None:  # a parameter backward did not reach
+            p.grad = np.zeros_like(p.data)
+        else:  # as zeros + g would be: -0.0 becomes +0.0
+            p.grad += 0.0
     mult = lr_multiplier(step, cfg.total_steps, cfg.warmup)
     sgd_step(params, velocities, cfg, mult)
     return {"step": step, "lr": cfg.lr_head * mult, "L_total": total.item(), **parts}

@@ -1,10 +1,12 @@
 import tracemalloc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from cracenet import crace
 from cracenet.crace import ConfigError, CraceConfig, CraceModule
 from cracenet.tensor import Node, Tensor, ShapeError, backward, no_grad, zero_grads
 from oracles import assert_rel_close, channel_attention_composed, check_gradients
@@ -342,3 +344,44 @@ class TestGraphRetention:
         assert isinstance(out, Tensor) and out.shape == (1, 8, 16, 16)
         assert len(alive) == len(refs) == (5 if in_depth is None else 7)
         assert not any(alive)
+
+
+class TestRebuiltInputs:
+    """Backward rebuilds the inputs the module marks (the upsampled global
+    map, the summed projections, stage 2's concatenation and the gated half
+    of the fusion input) instead of keeping them; every gradient keeps the
+    bytes it has when they are kept."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        toggles=st.lists(st.booleans(), min_size=4, max_size=4),
+        with_depth=st.booleans(),
+        factor=st.sampled_from([1, 2]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_gradients_equal_those_of_kept_inputs(self, toggles, with_depth, factor, seed):
+        ca, cha, ms, af = toggles
+        cfg = tiny_cfg(
+            enable_cross_attention=ca, enable_channel_attention=cha,
+            enable_multiscale=ms, enable_attentive_fusion=af,
+        )
+        rng = np.random.default_rng(seed)
+        m = CraceModule(3, 5, cfg, rng=rng, in_depth=2 if with_depth else None)
+        params = [p for _, p in m.parameters()]
+        side = 8 // factor
+        arrays = [rng.normal(size=(2, 3, 8, 8)), rng.normal(size=(2, 5, side, side))]
+        arrays += [rng.normal(size=(2, 2, 8, 8))] if with_depth else [None]
+
+        def gradients():
+            inputs = [None if a is None else Tensor(a, requires_grad=True) for a in arrays]
+            for p in params:
+                p.grad = None
+            out = m.forward(*inputs, training=True)
+            backward((out * out).sum())
+            grads = [p.grad for p in params] + [t.grad for t in inputs if t is not None]
+            return [None if g is None else g.tobytes() for g in grads]
+
+        rebuilt = gradients()
+        with mock.patch.object(crace, "_rebuilt", lambda t, *pieces: t):
+            kept = gradients()
+        assert rebuilt == kept

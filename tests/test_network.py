@@ -159,6 +159,35 @@ class TestInfer:
         assert net.infer(image, depth).tobytes() == want.tobytes()
 
 
+class TestInferInputs:
+    """``infer`` refuses a malformed input with a typed error before any
+    encoder runs."""
+
+    @pytest.fixture
+    def no_encoder(self, monkeypatch):
+        def encoder_ran(*args, **kwargs):
+            raise AssertionError("an encoder ran")
+
+        monkeypatch.setattr(SodNetwork, "encode", encoder_ran)
+        monkeypatch.setattr(SodNetwork, "encode_depth", encoder_ran)
+
+    def test_a_2d_image_is_a_shape_error_naming_image(self, no_encoder):
+        with pytest.raises(ShapeError, match=re.escape("image must have shape (3, H, W)")):
+            small_net().infer(np.zeros((64, 64)))
+
+    def test_a_depth_with_a_channel_axis_is_a_shape_error_naming_depth(self, no_encoder):
+        image = rand_image().data[0]
+        with pytest.raises(ShapeError, match=re.escape("depth must have the image's shape")):
+            small_net("rgbd").infer(image, np.zeros((1, 64, 64)))
+
+    @pytest.mark.parametrize("mode, field", [("rgb", "image"), ("rgbd", "image"), ("rgbd", "depth")])
+    def test_a_non_finite_value_is_a_value_error_naming_the_input(self, no_encoder, mode, field):
+        inputs = {"image": rand_image().data[0], "depth": np.ones((64, 64)) if mode == "rgbd" else None}
+        inputs[field] = np.full_like(inputs[field], np.nan if field == "image" else np.inf)
+        with pytest.raises(ValueError, match=f"{field} holds non-finite values"):
+            small_net(mode).infer(inputs["image"], inputs["depth"])
+
+
 class TestTraining:
     def test_forward_backward_all_gradients_finite(self):
         net = small_net(seed=3)

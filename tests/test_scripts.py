@@ -92,6 +92,8 @@ def test_bench_train_traces_one_extra_step_and_keeps_the_loss_row(monkeypatch, t
     row = bench_train.run_case("tiny")
     assert trainer._train_step is train_step
     assert row["step_ms"]["n"] == 2
+    assert row["minor_faults_per_step"]["n"] == 2
+    assert row["minor_faults_per_step"]["q1"] >= 0
     assert 0.0 < row["tracemalloc_peak_mb"] < row["peak_rss_mb"]
 
     data.gen_synthetic(tmp_path, 2, 32, seed=3)

@@ -1,4 +1,5 @@
 import copy
+import functools
 import weakref
 from dataclasses import replace
 from types import SimpleNamespace
@@ -15,6 +16,7 @@ from cracenet.data import (
     load_dataset,
     save_checkpoint,
 )
+from cracenet.layers import BatchNormLayer
 from cracenet.losses import LossConfig, make_edge_gt, total_loss
 from cracenet.network import EncoderConfig, NetworkConfig, SodNetwork
 from cracenet.tensor import ShapeError, Tensor, backward
@@ -361,11 +363,112 @@ class TestTrainLoop:
 
 def supervised_run(loss_cfg, levels: dict, gt, edge):
     """Total, logged terms and leaf logits of one ``_assemble_losses`` call on
-    fresh leaves holding ``levels`` (key -> the four levels' arrays)."""
+    fresh leaves holding ``levels`` (key -> the four levels' arrays).  The
+    call consumes the dict it is given, so it gets a copy."""
     outputs = {key: [Tensor(a, requires_grad=True) for a in maps] for key, maps in levels.items()}
-    total, parts = trainer_module._assemble_losses(outputs, gt, edge, loss_cfg)
+    total, parts = trainer_module._assemble_losses(
+        {key: list(maps) for key, maps in outputs.items()}, gt, edge, loss_cfg
+    )
     backward(total)
     return total.item(), parts, outputs
+
+
+def graph_rules(loss: Tensor):
+    """The backward rule of every interior node of ``loss``'s graph."""
+    seen, todo = set(), [loss._node]
+    while todo:
+        node = todo.pop()
+        if node is None or node in seen:
+            continue
+        seen.add(node)
+        todo.extend(node.parents)
+        if node.backward_fn is not None:
+            yield node.backward_fn
+
+
+def held_arrays(rule) -> list:
+    """Every array a backward rule holds, with the bases of views: through
+    its closure cells and the functions, partials, sequences and slotted
+    objects (such as a rebuild recipe) in them."""
+    found, todo, seen = [], [rule], set()
+    while todo:
+        value = todo.pop()
+        if id(value) in seen:
+            continue
+        seen.add(id(value))
+        if isinstance(value, np.ndarray):
+            while isinstance(value, np.ndarray):
+                found.append(value)
+                value = value.base
+        elif isinstance(value, functools.partial):
+            todo += [value.func, *value.args, *value.keywords.values()]
+        elif getattr(value, "__closure__", None):
+            todo += [cell.cell_contents for cell in value.__closure__]
+        elif isinstance(value, (list, tuple)):
+            todo += value
+        elif hasattr(type(value), "__slots__") and not isinstance(value, Tensor):
+            todo += [getattr(value, name, None) for name in type(value).__slots__]
+    return found
+
+
+class TestStepRetention:
+    """What a training step keeps alive, on a tiny RGB-D config: widths
+    4-16, n = 8, 32x32, batch 2, two steps without edge supervision, so
+    that backward does not reach the edge heads."""
+
+    def test_a_step_keeps_only_what_backward_reads(self, dataset, monkeypatch):
+        B, n = 2, tiny_net_cfg("rgbd").crace.n
+        seen = {"bn_outputs": [], "logits": [], "grads_at_forward": [], "checks": 0}
+
+        def bn_forward(layer, x, training, relu=False):
+            out = bn_original(layer, x, training, relu)
+            if not relu:
+                seen["bn_outputs"].append(out.data)
+            return out
+
+        def forward(model, *args, **kwargs):
+            seen["grads_at_forward"] += [p.grad for _, p in model.parameters()]
+            return forward_original(model, *args, **kwargs)
+
+        def predict(model, *args, **kwargs):
+            outputs = predict_original(model, *args, **kwargs)
+            seen["logits"] += [weakref.ref(t) for maps in outputs.values() for t in maps]
+            return outputs
+
+        def total(*terms):
+            # Every term is formed: no logit is needed any more.
+            assert seen["logits"] and all(ref() is None for ref in seen["logits"])
+            return total_loss(*terms)
+
+        def backward_checked(loss):
+            held = [a for rule in graph_rules(loss) for a in held_arrays(rule)]
+            held_ids = {id(a) for a in held}
+            assert seen["bn_outputs"]
+            assert not any(id(out) in held_ids for out in seen["bn_outputs"])
+            assert not [a.shape for a in held if a.ndim == 4 and a.shape[:2] == (B, 3 * n)]
+            seen["bn_outputs"].clear()
+            seen["checks"] += 1
+            backward_original(loss)
+
+        bn_original = BatchNormLayer.forward
+        forward_original, predict_original = SodNetwork.forward, SodNetwork.predict
+        backward_original = trainer_module.backward
+        monkeypatch.setattr(BatchNormLayer, "forward", bn_forward)
+        monkeypatch.setattr(SodNetwork, "forward", forward)
+        monkeypatch.setattr(SodNetwork, "predict", predict)
+        monkeypatch.setattr(trainer_module, "total_loss", total)
+        monkeypatch.setattr(trainer_module, "backward", backward_checked)
+        cfg = tiny_train_cfg(mode="rgbd", total_steps=2)
+        net_cfg = tiny_net_cfg("rgbd")
+        model = train(dataset, cfg, net_cfg, LossConfig(use_edge=False)).model
+
+        assert seen["checks"] == 2
+        assert seen["grads_at_forward"] and all(g is None for g in seen["grads_at_forward"])
+        for name, p in model.parameters():
+            if name.startswith("edge_head"):
+                assert p.grad is not None and not p.grad.any(), name
+            else:
+                assert p.grad is not None and p.grad.any(), name
 
 
 class TestLossAssembly:
