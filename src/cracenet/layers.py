@@ -461,7 +461,9 @@ def _conv_flat(x: Tensor, w: Tensor, b: Tensor | None, k: int, s: int, d: int) -
         gws = [np.zeros((O, T * C)) for _, T in plan.groups]
         for c0, c1, piece in _parts(source):
             xq = plan.copy_in(piece)
-            gwps = [gwg.reshape(O, T, C)[:, :, c0:c1] for (_, T), gwg in zip(plan.groups, gws)]
+            gwps = gws if c1 - c0 == C else [
+                gwg.reshape(O, T, C)[:, :, c0:c1] for (_, T), gwg in zip(plan.groups, gws)
+            ]
             for bi, r0, r1, gb in plan.upstream_blocks(g, ub):
                 for gwp, operand in zip(gwps, plan.operands(ws, xq[bi], r0, r1)):
                     gwp += np.matmul(gb, operand.T).reshape(gwp.shape)
